@@ -165,6 +165,27 @@ impl<'a> BatchCursor<'a> {
         }
     }
 
+    /// [`seek`](Self::seek) for a target above the entry
+    /// [`next`](Self::next) last returned — a skip-scan's jumps. Such
+    /// a target usually lies a few entries ahead, so those are probed
+    /// in place before falling back to the path-reusing seek; counted
+    /// as one seek either way, and never as keys examined.
+    pub fn seek_forward(&mut self, target: &[u8]) {
+        /// Entries probed before a binary search is the better bet.
+        const PROBE: usize = 4;
+        if let Some((leaf, idx)) = self.leaf {
+            debug_assert!(idx > 0 && leaf.entries[idx - 1].0.as_ref() < target);
+            let ahead = &leaf.entries[idx..leaf.entries.len().min(idx + PROBE)];
+            if let Some(hit) = ahead.iter().position(|(k, _)| k.as_ref() >= target) {
+                self.seeks += 1;
+                self.done = false;
+                self.leaf = Some((leaf, idx + hit));
+                return;
+            }
+        }
+        self.seek(Bound::Included(target));
+    }
+
     /// Next entry at or below `upper`, or `None` when the range is
     /// exhausted (the probe that discovers exhaustion is counted).
     #[allow(clippy::should_implement_trait)]
@@ -362,6 +383,34 @@ mod tests {
         // Unsorted batch: a backward target must still be served.
         assert_eq!(scan(&mut cur, 10, 12), vec![10, 11]);
         assert_eq!(scan(&mut cur, 4_500, 4_502), vec![4_500, 4_501]);
+    }
+
+    #[test]
+    fn seek_forward_lands_where_seek_does() {
+        // Jumps of every length up to several leaves, from every
+        // position: the probe and the fallback must agree with `seek`.
+        let t = tree(1_000);
+        for start in (0..900u64).step_by(7) {
+            for jump in [1u64, 2, 3, 4, 5, 63, 64, 65, 200] {
+                let mut fwd = t.batch_cursor();
+                fwd.seek(Bound::Included(&key(start)));
+                assert_eq!(fwd.next(Bound::Unbounded).unwrap().1, start);
+                let mut plain = t.batch_cursor();
+                plain.seek(Bound::Included(&key(start)));
+                plain.next(Bound::Unbounded);
+                fwd.seek_forward(&key(start + jump));
+                plain.seek(Bound::Included(&key(start + jump)));
+                assert_eq!(fwd.next(Bound::Unbounded), plain.next(Bound::Unbounded));
+                assert_eq!(fwd.seeks(), 2);
+                assert_eq!(fwd.keys_examined(), plain.keys_examined());
+            }
+        }
+        // Past the last key: exhausted, like `seek`.
+        let mut cur = t.batch_cursor();
+        cur.seek(Bound::Included(&key(998)));
+        cur.next(Bound::Unbounded);
+        cur.seek_forward(&key(5_000));
+        assert!(cur.next(Bound::Unbounded).is_none());
     }
 
     #[test]

@@ -827,15 +827,14 @@ impl Cluster {
 
     /// Which shards a query must visit, and whether that's a broadcast.
     pub fn target_shards(&self, filter: &Filter) -> (Vec<usize>, bool) {
-        let (shards, broadcast, _) = self.route(filter);
+        let (shards, broadcast, _) = self.route(&QueryShape::analyze(filter));
         (shards, broadcast)
     }
 
     /// Full routing decision: target shards, broadcast flag, and the
     /// routing-table chunk indices the decision touched (all chunks on
     /// a broadcast — the router consults the whole table).
-    fn route(&self, filter: &Filter) -> (Vec<usize>, bool, Vec<usize>) {
-        let shape = QueryShape::analyze(filter);
+    fn route(&self, shape: &QueryShape) -> (Vec<usize>, bool, Vec<usize>) {
         let lead = &self.shard_key.fields[0];
         let intervals: Option<Vec<KeyInterval>> = match self.shard_key.strategy {
             ShardStrategy::Hashed => None, // ranges cannot target hashed keys
@@ -897,7 +896,7 @@ impl Cluster {
         // mid-computation the plan self-invalidates rather than
         // claiming a freshness it doesn't have.
         let generation = self.routing_generation();
-        let (targets, broadcast, touched) = self.route(filter);
+        let (targets, broadcast, touched) = self.route(&QueryShape::analyze(filter));
         RoutePlan {
             targets,
             broadcast,
@@ -906,23 +905,25 @@ impl Cluster {
         }
     }
 
-    /// The unified scatter/gather: route (or replay a cached,
-    /// generation-checked [`RoutePlan`]), fan out on the work-stealing
-    /// shard executor under the recovery policy (failpoint draws,
-    /// timeouts, backoff retries, hedged reads), gather in shard
-    /// order. Abandoned shards contribute an incomplete
+    /// The unified scatter/gather: analyze the filter once — routing
+    /// and every shard's planner read the same [`QueryShape`] — route
+    /// (or replay a cached, generation-checked [`RoutePlan`]), fan out
+    /// on the work-stealing shard executor under the recovery policy
+    /// (failpoint draws, timeouts, backoff retries, hedged reads),
+    /// gather in shard order. Abandoned shards contribute an incomplete
     /// [`ShardExecution`] and flip the report's `partial` flag instead
     /// of losing the whole query.
     fn scatter_gather<R: Send>(
         &self,
         filter: &Filter,
         opts: QueryExecOptions,
-        run: impl Fn(usize) -> (R, ExecutionStats) + Sync,
+        run: impl Fn(usize, &QueryShape) -> (R, ExecutionStats) + Sync,
     ) -> (Vec<R>, ClusterQueryReport) {
         /// One gathered row: shard id, its answer (`None` once the
         /// recovery policy gave the shard up), and the recovery record.
         type GatherRow<R> = (usize, Option<(R, ExecutionStats)>, ShardRecovery);
         let start = Instant::now();
+        let shape = QueryShape::analyze(filter);
         let cached_route = opts
             .route
             .filter(|p| p.generation == self.routing_generation());
@@ -937,7 +938,7 @@ impl Cluster {
                     // A plan was offered but the chunk map moved on.
                     self.obs.counter("router.route_stale").inc();
                 }
-                computed = self.route(filter);
+                computed = self.route(&shape);
                 (&computed.0, computed.1, &computed.2)
             }
         };
@@ -952,7 +953,9 @@ impl Cluster {
                 |&sid| sid,
                 |&sid| {
                     let (out, recovery) =
-                        run_with_recovery(&policy, &self.faults, query_id, sid, || run(sid));
+                        run_with_recovery(&policy, &self.faults, query_id, sid, || {
+                            run(sid, &shape)
+                        });
                     (sid, out, recovery)
                 },
             )
@@ -1015,10 +1018,10 @@ impl Cluster {
         opts: QueryExecOptions,
     ) -> (Vec<Document>, ClusterQueryReport) {
         let planner = self.config.planner;
-        let (chunks, mut report) = self.scatter_gather(filter, opts, |sid| {
+        let (chunks, mut report) = self.scatter_gather(filter, opts, |sid, shape| {
             self.shards[sid]
                 .collection()
-                .find_with_planner(&planner, filter)
+                .find_shaped(&planner, filter, shape)
         });
         let merge_start = Instant::now();
         // `Flatten` has no useful size hint; pre-size the merge vector
@@ -1052,9 +1055,9 @@ impl Cluster {
     ) -> (Vec<Document>, ClusterQueryReport) {
         let planner = self.config.planner;
         let (chunks, mut report) =
-            self.scatter_gather(filter, QueryExecOptions::default(), |sid| {
+            self.scatter_gather(filter, QueryExecOptions::default(), |sid, shape| {
                 let coll = self.shards[sid].collection();
-                let (mut docs, stats) = coll.find_with_planner(&planner, filter);
+                let (mut docs, stats) = coll.find_shaped(&planner, filter, shape);
                 options.shape(&mut docs);
                 (docs, stats)
             });
@@ -1110,7 +1113,7 @@ impl Cluster {
         spec: &sts_query::GroupBy,
     ) -> (Vec<Document>, ClusterQueryReport) {
         let (partials, mut report) =
-            self.scatter_gather(filter, QueryExecOptions::default(), |sid| {
+            self.scatter_gather(filter, QueryExecOptions::default(), |sid, _| {
                 sts_query::aggregate_local(self.shards[sid].collection(), filter, spec)
             });
         let merge_start = Instant::now();

@@ -1,8 +1,7 @@
 //! Work-stealing shard executor: the router's fan-out engine.
 //!
-//! Replaces the global `rayon` pool with an explicit, tunable executor
-//! so per-shard concurrency is an observable knob instead of ambient
-//! process state:
+//! An explicit, tunable executor owned by each cluster, so per-shard
+//! concurrency is an observable knob instead of ambient process state:
 //!
 //! * every target shard gets its **own FIFO queue** of tasks (one task
 //!   per shard for a plain scatter, several for batched descents);

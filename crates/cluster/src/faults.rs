@@ -11,9 +11,9 @@
 //! Every probabilistic decision is a **pure function** of
 //! `(injector seed, query id, shard, attempt, replica, point name)` —
 //! hashed through SplitMix64, never drawn from a shared RNG stream —
-//! so outcomes are identical across runs regardless of how the rayon
-//! scheduler interleaves shards. `Times(n)` counters are kept **per
-//! (failpoint, shard)**; within one query a shard's attempts are
+//! so outcomes are identical across runs regardless of how the shard
+//! executor's workers interleave shards. `Times(n)` counters are kept
+//! **per (failpoint, shard)**; within one query a shard's attempts are
 //! sequential, so those counters are race-free too. No wall clock is
 //! consulted anywhere: injected latency is virtual time, accounted in
 //! the recovery records (see [`crate::retry`]).

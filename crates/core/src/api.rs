@@ -42,7 +42,7 @@ pub struct StStore {
     fingerprint: Option<u64>,
     cluster: Cluster,
     profiler: Profiler,
-    /// Reusable Hilbert-decomposition buffers (interval-tree arena +
+    /// Reusable Hilbert-decomposition buffers (block-list scratch +
     /// covering list). Queries take `&self`, hence the mutex; it is
     /// uncontended in the single-router simulator.
     cover: Mutex<CoverBuffers>,

@@ -7,7 +7,7 @@ use sts_document::{DateTime, Value};
 use sts_geo::GeoRect;
 use sts_query::Filter;
 
-/// Reusable Hilbert-decomposition buffers: the interval-tree arena plus
+/// Reusable Hilbert-decomposition buffers: the curve layer's scratch plus
 /// the covering-range list. A store owns one so repeated queries reuse
 /// the same high-water-mark allocations instead of rebuilding them.
 #[derive(Default)]

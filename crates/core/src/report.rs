@@ -218,6 +218,12 @@ fn shard_explain(s: &ShardExecution) -> Document {
     doc! {
         "shard" => s.shard as i64,
         "indexUsed" => s.stats.index_used.clone(),
+        // What the shard still checked on each fetched document; every
+        // conjunct of the query absent here was proven by the index.
+        "residual" => match &s.stats.residual {
+            Some(f) => format!("{f:?}"),
+            None => "<whole filter>".to_string(),
+        },
         "keysExamined" => s.stats.keys_examined as i64,
         "docsExamined" => s.stats.docs_examined as i64,
         "seeks" => s.stats.seeks as i64,

@@ -48,14 +48,12 @@ pub mod zorder;
 
 mod curve;
 mod grid;
-mod interval;
 mod ranges;
 
 pub use curve::{Curve, CurveFamily};
 pub use grid::{CurveGrid, CurveKind};
-pub use interval::IntervalTree;
 pub use onion::OnionCurve;
-pub use ranges::{merge_ranges, CoveringScratch, RangeBudget};
+pub use ranges::{CoveringScratch, RangeBudget};
 pub use skewgh::SkewGeoHash;
 
 /// The paper's curve precision: 13 bits per axis (§5.1 methodology).

@@ -11,8 +11,8 @@
 //! Unlike the quadtree curves, aligned `2^k × 2^k` blocks are *not*
 //! contiguous in onion index space, so rectangle decomposition walks
 //! rings instead of blocks: each ring intersecting the query rectangle
-//! contributes up to four clipped edge intervals, merged on insert by
-//! the shared interval treap and budget-coalesced exactly like the
+//! contributes up to four clipped edge intervals, sorted and merged by
+//! the shared covering tail and budget-coalesced exactly like the
 //! Hilbert covering.
 
 use crate::curve::{Curve, CurveFamily};
@@ -152,7 +152,7 @@ impl Curve for OnionCurve {
         out: &mut Vec<(u64, u64)>,
     ) {
         let n = self.side();
-        scratch.tree.clear();
+        scratch.blocks.clear();
         // Ring k intersects the span iff the span is neither strictly
         // inside ring k's interior (k < kmin) nor strictly outside its
         // square (k > kmax).
@@ -168,7 +168,7 @@ impl Curve for OnionCurve {
             if (x0..=x1).contains(&lo) {
                 let (ys, ye) = (lo.max(y0), hi.min(y1));
                 if ys <= ye {
-                    scratch.tree.insert(base + (ys - lo), base + (ye - lo));
+                    scratch.blocks.push((base + (ys - lo), base + (ye - lo)));
                 }
             }
             // Top edge: y = hi, x ∈ [lo+1, hi], pos = e + (x - lo).
@@ -176,8 +176,8 @@ impl Curve for OnionCurve {
                 let (xs, xe) = ((lo + 1).max(x0), hi.min(x1));
                 if xs <= xe {
                     scratch
-                        .tree
-                        .insert(base + e + (xs - lo), base + e + (xe - lo));
+                        .blocks
+                        .push((base + e + (xs - lo), base + e + (xe - lo)));
                 }
             }
             // Right edge: x = hi, y ∈ [lo, hi-1], pos = 2e + (hi - y).
@@ -185,8 +185,8 @@ impl Curve for OnionCurve {
                 let (ys, ye) = (lo.max(y0), (hi - 1).min(y1));
                 if ys <= ye {
                     scratch
-                        .tree
-                        .insert(base + 2 * e + (hi - ye), base + 2 * e + (hi - ys));
+                        .blocks
+                        .push((base + 2 * e + (hi - ye), base + 2 * e + (hi - ys)));
                 }
             }
             // Bottom edge: y = lo, x ∈ [lo+1, hi-1], pos = 3e + (hi - x).
@@ -194,8 +194,8 @@ impl Curve for OnionCurve {
                 let (xs, xe) = ((lo + 1).max(x0), (hi - 1).min(x1));
                 if xs <= xe {
                     scratch
-                        .tree
-                        .insert(base + 3 * e + (hi - xe), base + 3 * e + (hi - xs));
+                        .blocks
+                        .push((base + 3 * e + (hi - xe), base + 3 * e + (hi - xs)));
                 }
             }
         }

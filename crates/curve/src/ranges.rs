@@ -9,7 +9,6 @@
 //! what Table 8 times.
 
 use crate::grid::CurveGrid;
-use crate::interval::IntervalTree;
 
 /// Bounds the number of ranges a decomposition may return.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -60,14 +59,14 @@ impl Default for RangeBudget {
 
 /// Reusable working state for range decomposition.
 ///
-/// The covering pipeline needs an [`IntervalTree`] (merge-as-you-go
-/// block collection) and a gap buffer (budget coalescing). Both retain
-/// their capacity across queries, so a store that threads one scratch
-/// through its queries builds coverings without steady-state heap
-/// allocation.
+/// The covering pipeline needs a block list (raw index intervals in
+/// visit order, sorted and merged once at the end) and a gap buffer
+/// (budget coalescing). Both retain their capacity across queries, so a
+/// store that threads one scratch through its queries builds coverings
+/// without steady-state heap allocation.
 #[derive(Default)]
 pub struct CoveringScratch {
-    pub(crate) tree: IntervalTree,
+    pub(crate) blocks: Vec<(u64, u64)>,
     pub(crate) gaps: Vec<(u64, u32)>,
 }
 
@@ -143,30 +142,48 @@ pub(crate) fn decompose_blocks_generic_into<F: Fn(u64, u64) -> u64>(
     out: &mut Vec<(u64, u64)>,
 ) {
     let size = 1u64 << order;
-    scratch.tree.clear();
-    visit(index_of_cell, 0, 0, size, x0, x1, y0, y1, &mut scratch.tree);
+    scratch.blocks.clear();
+    visit(
+        index_of_cell,
+        0,
+        0,
+        size,
+        x0,
+        x1,
+        y0,
+        y1,
+        &mut scratch.blocks,
+    );
     finish_covering(scratch, budget, out);
 }
 
-/// Drain the interval tree accumulated in `scratch` into `out` (sorted
-/// and merged) and coalesce down to the range budget — the shared tail
-/// of every curve's decomposition, block-recursive or ring-walking.
+/// Sort the blocks collected in `scratch`, append them to `out` merging
+/// overlapping and adjacent (`hi + 1 == lo`) neighbours in one pass, and
+/// coalesce down to the range budget — the shared tail of every curve's
+/// decomposition, block-recursive or ring-walking.
 pub(crate) fn finish_covering(
     scratch: &mut CoveringScratch,
     budget: RangeBudget,
     out: &mut Vec<(u64, u64)>,
 ) {
     let start = out.len();
-    scratch.tree.drain_into(out);
+    scratch.blocks.sort_unstable();
+    for &(lo, hi) in &scratch.blocks {
+        match out[start..].last_mut() {
+            Some((_, prev_hi)) if lo <= prev_hi.saturating_add(1) => {
+                *prev_hi = (*prev_hi).max(hi);
+            }
+            _ => out.push((lo, hi)),
+        }
+    }
     if let Some(kept) = coalesce_to_budget(&mut out[start..], budget.max_ranges, &mut scratch.gaps)
     {
         out.truncate(start + kept);
     }
 }
 
-/// Recursive block visitor. Blocks land in the interval tree, which
-/// merges overlapping/adjacent index ranges as they arrive — the
-/// in-order drain is already the final covering.
+/// Recursive block visitor: every block or cell of the cover is pushed
+/// in visit order; [`finish_covering`] sorts and merges them.
 #[allow(clippy::too_many_arguments)]
 fn visit<F: Fn(u64, u64) -> u64>(
     index_of_cell: &F,
@@ -177,7 +194,7 @@ fn visit<F: Fn(u64, u64) -> u64>(
     x1: u64,
     y0: u64,
     y1: u64,
-    out: &mut IntervalTree,
+    out: &mut Vec<(u64, u64)>,
 ) {
     // Disjoint?
     if bx > x1 || by > y1 || bx + size - 1 < x0 || by + size - 1 < y0 {
@@ -186,12 +203,12 @@ fn visit<F: Fn(u64, u64) -> u64>(
     // Fully contained?
     if bx >= x0 && bx + size - 1 <= x1 && by >= y0 && by + size - 1 <= y1 {
         let base = index_of_cell(bx, by) & !(size * size - 1);
-        out.insert(base, base + size * size - 1);
+        out.push((base, base + size * size - 1));
         return;
     }
     if size == 1 {
         let d = index_of_cell(bx, by);
-        out.insert(d, d);
+        out.push((d, d));
         return;
     }
     let half = size / 2;
@@ -209,21 +226,6 @@ fn visit<F: Fn(u64, u64) -> u64>(
         y1,
         out,
     );
-}
-
-/// Sort and merge adjacent/overlapping inclusive ranges.
-pub fn merge_ranges(mut ranges: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
-    ranges.sort_unstable();
-    let mut merged: Vec<(u64, u64)> = Vec::with_capacity(ranges.len());
-    for (lo, hi) in ranges {
-        match merged.last_mut() {
-            Some((_, prev_hi)) if lo <= prev_hi.saturating_add(1) => {
-                *prev_hi = (*prev_hi).max(hi);
-            }
-            _ => merged.push((lo, hi)),
-        }
-    }
-    merged
 }
 
 /// Reduce sorted, disjoint `ranges` to at most `max_ranges` by bridging
@@ -357,13 +359,24 @@ mod tests {
     }
 
     #[test]
-    fn merge_ranges_basics() {
-        assert_eq!(merge_ranges(vec![]), vec![]);
-        assert_eq!(
-            merge_ranges(vec![(5, 6), (0, 2), (3, 4), (10, 12)]),
-            vec![(0, 6), (10, 12)]
-        );
-        assert_eq!(merge_ranges(vec![(1, 5), (2, 3)]), vec![(1, 5)]);
+    fn finish_covering_sorts_and_merges_after_existing_output() {
+        let mut scratch = CoveringScratch::new();
+        let mut out = vec![(100, 200)];
+        finish_covering(&mut scratch, RangeBudget::UNLIMITED, &mut out);
+        assert_eq!(out, vec![(100, 200)], "no blocks, nothing appended");
+        // Visit order, with an adjacency, an overlap and a containment;
+        // the caller's earlier output is never merged into.
+        scratch.blocks = vec![
+            (5, 6),
+            (0, 2),
+            (3, 4),
+            (10, 12),
+            (11, 30),
+            (15, 16),
+            (201, 202),
+        ];
+        finish_covering(&mut scratch, RangeBudget::UNLIMITED, &mut out);
+        assert_eq!(out, vec![(100, 200), (0, 6), (10, 30), (201, 202)]);
     }
 
     #[test]

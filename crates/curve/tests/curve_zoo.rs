@@ -187,3 +187,93 @@ proptest! {
         }
     }
 }
+
+/// FNV-1a over every `(lo, hi)` of the coverings of 1,000 seeded
+/// rectangles, for one family under one budget.
+fn covering_hash(curve: &dyn Curve, budget: RangeBudget) -> u64 {
+    let mut s = 0x00C0_FFEE_5EED_u64;
+    let mut next = || {
+        s = s
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (s >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut mix = |word: u64| {
+        for b in word.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    let mut scratch = CoveringScratch::new();
+    let mut out = Vec::new();
+    for i in 0..1000 {
+        // City- to country-sized boxes, three in four inside the dense
+        // training cluster so the fitted family sees its fine buckets.
+        let (lon, lat) = if i % 4 == 0 {
+            (next() * 340.0 - 170.0, next() * 160.0 - 80.0)
+        } else {
+            (22.0 + next() * 3.0, 36.5 + next() * 3.0)
+        };
+        let (w, hgt) = (0.02 + next().powi(3) * 12.0, 0.02 + next().powi(3) * 8.0);
+        let rect = GeoRect::new(lon, lat, (lon + w).min(180.0), (lat + hgt).min(90.0));
+        out.clear();
+        curve.decompose_rect_into(&rect, budget, &mut scratch, &mut out);
+        mix(out.len() as u64);
+        for &(lo, hi) in &out {
+            mix(lo);
+            mix(hi);
+        }
+    }
+    h
+}
+
+/// Golden coverings, recorded from the PR-4 interval-treap pipeline
+/// before it was replaced by sort + one merge pass: the two must agree
+/// byte for byte, on every family and under every budget regime
+/// (bridge-everything, binding, default, unlimited).
+#[test]
+fn coverings_match_the_recorded_golden_hashes() {
+    const GOLDEN: [[u64; 4]; 4] = [
+        [
+            0xc8def68b8d3bef14,
+            0x439d89ae6d5e82f3,
+            0x65f457c3565e7019,
+            0x530fefd94a28efda,
+        ],
+        [
+            0xc86b08511aa241f2,
+            0x25d405b198be238f,
+            0x926c93480bfcc96b,
+            0x13f1a61b753b4e31,
+        ],
+        [
+            0x2118b7b1bf4fd8ed,
+            0xb822a566cf3140e4,
+            0x82c0f78fe5853f41,
+            0xe582decb9fa4f7d8,
+        ],
+        [
+            0xa2c9f4359dcd81a7,
+            0x0c88dc8376f3a8fc,
+            0x02f3ad757818e497,
+            0x19ca7d78b71fff1f,
+        ],
+    ];
+    let budgets = [
+        RangeBudget::new(1),
+        RangeBudget::new(16),
+        RangeBudget::new(64),
+        RangeBudget::UNLIMITED,
+    ];
+    let got: Vec<Vec<u64>> = zoo(13)
+        .iter()
+        .map(|curve| {
+            budgets
+                .iter()
+                .map(|b| covering_hash(curve.as_ref(), *b))
+                .collect()
+        })
+        .collect();
+    assert_eq!(got, GOLDEN, "rows {:?}, got {got:#x?}", CurveFamily::ALL);
+}

@@ -197,6 +197,51 @@ pub fn decode_value(buf: &[u8], pos: &mut usize) -> Option<Value> {
     })
 }
 
+/// Length in bytes of the encoded value at the start of `buf`, without
+/// decoding it — how a scan finds a composite key's field boundaries
+/// while comparing the fields as bytes. `None` on malformed input,
+/// exactly where [`decode_value`] returns `None` (UTF-8 aside).
+pub fn encoded_len(buf: &[u8]) -> Option<usize> {
+    let mut pos = 1;
+    match *buf.first()? {
+        RANK_NULL => {}
+        RANK_BOOL => pos += 1,
+        RANK_NUMBER | RANK_DATETIME => pos += 8,
+        RANK_OBJECT_ID => pos += 12,
+        RANK_STRING => pos += terminated_len(&buf[pos..])?,
+        rank @ (RANK_DOCUMENT | RANK_ARRAY) => loop {
+            let marker = *buf.get(pos)?;
+            pos += 1;
+            if marker == 0x00 {
+                break;
+            }
+            if rank == RANK_DOCUMENT {
+                pos += terminated_len(buf.get(pos..)?)?;
+            }
+            pos += encoded_len(buf.get(pos..)?)?;
+        },
+        _ => return None,
+    }
+    (pos <= buf.len()).then_some(pos)
+}
+
+/// Length of an escaped, `0x00 0x00`-terminated byte string at the
+/// start of `buf`, terminator included.
+fn terminated_len(buf: &[u8]) -> Option<usize> {
+    let mut pos = 0;
+    loop {
+        let b = *buf.get(pos)?;
+        pos += 1;
+        if b == 0 {
+            match *buf.get(pos)? {
+                0x00 => return Some(pos + 1),
+                0xFF => pos += 1,
+                _ => return None,
+            }
+        }
+    }
+}
+
 fn decode_f64(raw: u64) -> f64 {
     if raw == 0 {
         return f64::NAN;
@@ -432,6 +477,36 @@ mod tests {
             assert_eq!(pos, enc.len());
             assert_eq!(back.canonical_cmp(v), Ordering::Equal, "{v:?}");
         }
+    }
+
+    #[test]
+    fn encoded_len_finds_every_field_boundary() {
+        let vals = [
+            Value::Null,
+            Value::Bool(true),
+            Value::Int64(-7),
+            Value::Double(1.25),
+            Value::from(""),
+            Value::from("hello\0world"),
+            Value::DateTime(DateTime::from_millis(1_538_383_680_067)),
+            Value::ObjectId(ObjectId::with_timestamp(77)),
+            Value::Array(vec![Value::from("x\0"), Value::Array(vec![]), Value::Null]),
+            Value::Document(doc! {"k\0" => "v", "n" => doc! {"m" => 4.0}}),
+        ];
+        for v in &vals {
+            let mut enc = encode_value(v);
+            let len = enc.len();
+            // Whatever follows (the next field, the record id) is not
+            // part of the value.
+            enc.extend_from_slice(&[0xFF; 9]);
+            assert_eq!(encoded_len(&enc), Some(len), "{v:?}");
+            // A truncated encoding is malformed, never out of bounds.
+            for cut in 0..len {
+                assert_eq!(encoded_len(&enc[..cut]), None, "{v:?} cut at {cut}");
+            }
+        }
+        assert_eq!(encoded_len(&[RANK_MAX]), None);
+        assert_eq!(encoded_len(&[RANK_STRING, b'a', 0x00, 0x07]), None);
     }
 
     #[test]

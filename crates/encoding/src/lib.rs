@@ -16,6 +16,7 @@ mod varint;
 
 pub use base32::{base32_decode, base32_encode, curve_cell_code, GEOHASH_ALPHABET};
 pub use keys::{
-    decode_value, encode_value, encode_value_into, KeyReader, KeyWriter, RANK_MAX, RANK_MIN,
+    decode_value, encode_value, encode_value_into, encoded_len, KeyReader, KeyWriter, RANK_MAX,
+    RANK_MIN,
 };
 pub use varint::{read_uvarint, write_uvarint};

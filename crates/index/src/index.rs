@@ -6,20 +6,23 @@ use crate::spec::IndexSpec;
 use std::ops::{Bound, ControlFlow};
 use sts_btree::{BTree, KeyBound, SizeReport};
 use sts_document::{Document, Value};
-use sts_encoding::{encode_value_into, KeyReader, KeyWriter};
+use sts_encoding::{decode_value, encode_value_into, encoded_len, KeyReader, KeyWriter};
 
 /// Reusable buffers for index scans.
 ///
-/// Scans decode key values and build seek targets on every entry; with a
-/// scratch threaded in from the executor those buffers are reused across
-/// queries instead of reallocated per scan — part of the hot path's
-/// zero-allocation contract.
+/// Scans decode key values for the visitor and build seek targets on
+/// every jump; with a scratch threaded in from the executor those
+/// buffers are reused across queries instead of reallocated per scan —
+/// part of the hot path's zero-allocation contract.
 #[derive(Default)]
 pub struct ScanScratch {
     /// Decoded per-field key values handed to the scan closure.
     values: Vec<Value>,
     /// Seek-target key under construction (skip-scan jumps).
     seek_key: Vec<u8>,
+    /// The skip-scan's trailing window, encoded once per scan.
+    t_lo: Vec<u8>,
+    t_hi: Vec<u8>,
 }
 
 impl ScanScratch {
@@ -188,10 +191,14 @@ impl Index {
     }
 
     /// [`skip_scan_2d`](Self::skip_scan_2d) with caller-owned scratch.
-    /// Every jump is a forward [`seek`](sts_btree::BatchCursor::seek) on
-    /// one batch cursor — the seek target is built in the reusable
-    /// scratch key buffer and the descent path is reused, rather than
-    /// cloning bounds and re-descending from the root per jump.
+    ///
+    /// The window is encoded once and every examined key is judged on
+    /// its *bytes*: the memcomparable encoding is what the tree sorts
+    /// by, so comparing the trailing field's encoded slice against the
+    /// encoded bounds is the canonical comparison. Values are decoded
+    /// only for keys handed to `f`. Both jumps are
+    /// [`seek_forward`](sts_btree::BatchCursor::seek_forward)s on one
+    /// batch cursor, the target built in the reusable scratch key.
     pub fn skip_scan_2d_with<F: FnMut(&[Value], u64) -> ControlFlow<()>>(
         &self,
         scratch: &mut ScanScratch,
@@ -200,34 +207,44 @@ impl Index {
         t_hi: &Value,
         mut f: F,
     ) -> ScanStats {
-        use std::cmp::Ordering;
+        let ScanScratch {
+            values,
+            seek_key,
+            t_lo: lo,
+            t_hi: hi,
+        } = scratch;
+        lo.clear();
+        encode_value_into(t_lo, lo);
+        hi.clear();
+        encode_value_into(t_hi, hi);
 
         let mut cur = self.tree.batch_cursor();
         cur.seek(as_ref_bound(&leading.lower));
         let upper = as_ref_bound(&leading.upper);
         while let Some((key, rid)) = cur.next(upper) {
-            let mut r = KeyReader::new(key);
-            let v0 = r.next_value().expect("index key corrupt");
-            let v1 = r.next_value().expect("index key corrupt");
-            if v1.canonical_cmp(t_lo) == Ordering::Less {
-                // Jump forward to (v0, t_lo).
-                scratch.seek_key.clear();
-                encode_value_into(&v0, &mut scratch.seek_key);
-                encode_value_into(t_lo, &mut scratch.seek_key);
-                cur.seek(Bound::Included(&scratch.seek_key));
+            let (v0, rest) = key.split_at(encoded_len(key).expect("index key corrupt"));
+            let v1 = &rest[..encoded_len(rest).expect("index key corrupt")];
+            // Below the window: jump forward to (v0, t_lo). Above it:
+            // jump past every remaining entry with this v0.
+            let jump_to: Option<&[u8]> = if v1 < lo.as_slice() {
+                Some(lo)
+            } else if v1 > hi.as_slice() {
+                Some(&crate::bounds::EXCLUSIVE_TAIL)
+            } else {
+                None
+            };
+            if let Some(tail) = jump_to {
+                seek_key.clear();
+                seek_key.extend_from_slice(v0);
+                seek_key.extend_from_slice(tail);
+                cur.seek_forward(seek_key);
                 continue;
             }
-            if v1.canonical_cmp(t_hi) == Ordering::Greater {
-                // Jump past every remaining entry with this v0.
-                scratch.seek_key.clear();
-                encode_value_into(&v0, &mut scratch.seek_key);
-                scratch
-                    .seek_key
-                    .extend_from_slice(&crate::bounds::EXCLUSIVE_TAIL);
-                cur.seek(Bound::Included(&scratch.seek_key));
-                continue;
+            values.clear();
+            for field in [v0, v1] {
+                values.push(decode_value(field, &mut 0).expect("index key corrupt"));
             }
-            if f(&[v0, v1], rid).is_break() {
+            if f(values, rid).is_break() {
                 break;
             }
         }

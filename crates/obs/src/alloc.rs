@@ -16,9 +16,9 @@
 //!   visible the same way latency regressions are.
 //!
 //! Thread-locality matters twice over: the counters are wait-free with
-//! no cross-thread contention, and a span measured entirely on one rayon
-//! worker (the executor's situation — a shard query never migrates
-//! threads) observes exactly its own section's allocations.
+//! no cross-thread contention, and a span measured entirely on one
+//! executor worker thread (a shard query never migrates threads)
+//! observes exactly its own section's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

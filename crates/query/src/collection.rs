@@ -5,6 +5,7 @@ use crate::explain::ExecutionStats;
 use crate::filter::Filter;
 use crate::plan::QueryPlan;
 use crate::planner::Planner;
+use crate::shape::QueryShape;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use sts_document::Document;
@@ -40,7 +41,8 @@ pub struct LocalCollection {
     committed: Arc<AtomicU64>,
     /// Reusable execution buffers. A shard serves one query at a time,
     /// so the mutex is uncontended — it exists only because the cluster
-    /// fans queries out to shards from rayon workers (`&self` + `Sync`).
+    /// fans queries out to shards from its executor's worker threads
+    /// (`&self` + `Sync`).
     scratch: Mutex<QueryScratch>,
 }
 
@@ -226,8 +228,19 @@ impl LocalCollection {
         planner: &Planner,
         filter: &Filter,
     ) -> (Vec<Document>, ExecutionStats) {
+        self.find_shaped(planner, filter, &QueryShape::analyze(filter))
+    }
+
+    /// [`find_with_planner`](Self::find_with_planner) for a filter whose
+    /// shape the caller (the cluster router) has already analyzed.
+    pub fn find_shaped(
+        &self,
+        planner: &Planner,
+        filter: &Filter,
+        shape: &QueryShape,
+    ) -> (Vec<Document>, ExecutionStats) {
         let planning_start = std::time::Instant::now();
-        let plan = planner.choose(self, filter);
+        let plan = planner.choose_for(self, filter, shape);
         let planning = planning_start.elapsed();
         let mut scratch = self
             .scratch

@@ -53,9 +53,11 @@ impl QueryScratch {
 ///
 /// Every emitted index entry passes through the plan's key filters; the
 /// survivors are fetched (counted in `docs_examined`) and checked against
-/// the *full* filter — the refinement step that guarantees exactness
-/// regardless of how lossy the index bounds were. Matching documents are
-/// returned when `collect` is true (routers set it false for trials).
+/// the plan's residual — `filter` minus what the index access already
+/// proved — or against all of `filter` when the plan carries none. That
+/// refinement step is what keeps results exact however lossy the rest of
+/// the bounds were. Matching documents are returned when `collect` is
+/// true (routers set it false for trials).
 pub fn execute_plan(
     coll: &LocalCollection,
     filter: &Filter,
@@ -87,9 +89,10 @@ pub fn execute_plan_with_rids(
 /// The section between the first index seek and the last staged result
 /// is measured with an [`AllocSpan`]; on a warmed-up scratch (buffers at
 /// their high-water capacity) the reported `stats.allocations` is zero.
-/// The one unavoidable allocation — `stats.index_used`, a `String`
-/// cloned from the plan for explain output — happens *before* the
-/// measured window on purpose: it is explain metadata, not query work.
+/// The unavoidable allocations — `stats.index_used` and
+/// `stats.residual`, cloned from the plan for explain output — happen
+/// *before* the measured window on purpose: they are explain metadata,
+/// not query work.
 pub fn execute_plan_into(
     coll: &LocalCollection,
     filter: &Filter,
@@ -101,9 +104,11 @@ pub fn execute_plan_into(
     let start = Instant::now();
     let mut stats = ExecutionStats {
         index_used: plan.index_name.clone(),
+        residual: plan.residual.clone(),
         completed: true,
         ..Default::default()
     };
+    let residual = plan.residual.as_deref().unwrap_or(filter);
     // Split-borrow the scratch: the handler stages into `out` while the
     // index layer owns `scan` for the duration of the walk.
     let QueryScratch { out, scan } = scratch;
@@ -145,7 +150,7 @@ pub fn execute_plan_into(
             return ControlFlow::Continue(());
         };
         stats.docs_examined += 1;
-        if filter.matches(&doc) {
+        if residual.matches(&doc) {
             stats.n_returned += 1;
             if collect {
                 out.push((rid, doc));
@@ -234,6 +239,7 @@ mod tests {
             )],
             access,
             key_filters: vec![],
+            residual: None,
             is_fallback: false,
         }
     }
@@ -310,6 +316,7 @@ mod tests {
             ranges: vec![ScanRange::whole()],
             access: IndexAccess::Sequential,
             key_filters: vec![],
+            residual: None,
             is_fallback: false,
         };
         let (docs, stats) = execute_plan(&c, &f, &plan, None, true);
@@ -336,6 +343,7 @@ mod tests {
             ranges: vec![],
             access: IndexAccess::Sequential,
             key_filters: vec![],
+            residual: None,
             is_fallback: false,
         };
         let (docs, stats) = execute_plan(&c, &st_filter(), &plan, None, true);

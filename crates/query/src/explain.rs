@@ -8,6 +8,11 @@ use std::time::Duration;
 pub struct ExecutionStats {
     /// Which index served the query (Table 7).
     pub index_used: String,
+    /// The plan's residual: what was checked on each fetched document.
+    /// `None` when the whole filter was (fallback scans, hand-built
+    /// plans, abandoned shards). An `Arc` because reports are cloned
+    /// whole on the result-cache hit path.
+    pub residual: Option<std::sync::Arc<crate::Filter>>,
     /// Index entries touched (`totalKeysExamined`).
     pub keys_examined: u64,
     /// Documents fetched from the record store (`totalDocsExamined`).

@@ -1,6 +1,8 @@
 //! Physical query plans.
 
+use crate::filter::Filter;
 use std::cmp::Ordering;
+use std::sync::Arc;
 use sts_document::Value;
 use sts_index::ScanRange;
 
@@ -86,6 +88,14 @@ pub struct QueryPlan {
     pub access: IndexAccess,
     /// Index-level filters on decoded keys (applied before fetching).
     pub key_filters: Vec<KeyFilter>,
+    /// What is left to check on a fetched document: the query's filter
+    /// minus the conjuncts `ranges`, `access` and `key_filters` already
+    /// prove for every key they let through (see
+    /// [`QueryShape::residual`](crate::QueryShape::residual)). `None`
+    /// when nothing is proven — the whole filter is checked. Shared
+    /// with the [`ExecutionStats`](crate::ExecutionStats) of every run
+    /// of the plan, hence the `Arc`.
+    pub residual: Option<Arc<Filter>>,
     /// True when this plan is an unbounded fallback scan (no usable
     /// index constraint — MongoDB's COLLSCAN equivalent through `_id`).
     pub is_fallback: bool,
@@ -153,6 +163,7 @@ mod tests {
             ranges: vec![],
             access: IndexAccess::Sequential,
             key_filters: vec![],
+            residual: None,
             is_fallback: false,
         };
         assert!(p.describe().contains("seq"));

@@ -5,6 +5,7 @@ use crate::executor::{execute_plan, ExecBudget};
 use crate::filter::Filter;
 use crate::plan::{IndexAccess, KeyFilter, QueryPlan};
 use crate::shape::QueryShape;
+use std::sync::Arc;
 use sts_document::Value;
 use sts_geo::{cells_to_ranges, cover_rect};
 use sts_index::{FieldKind, IndexSpec, ScanRange};
@@ -45,10 +46,20 @@ impl Planner {
     /// Generate every candidate plan for `filter` over the collection's
     /// indexes. Always returns at least one plan (the fallback scan).
     pub fn candidates(&self, coll: &LocalCollection, filter: &Filter) -> Vec<QueryPlan> {
-        let shape = QueryShape::analyze(filter);
+        self.candidates_for(coll, filter, &QueryShape::analyze(filter))
+    }
+
+    /// [`candidates`](Self::candidates) for a filter whose shape the
+    /// caller has already analyzed.
+    fn candidates_for(
+        &self,
+        coll: &LocalCollection,
+        filter: &Filter,
+        shape: &QueryShape,
+    ) -> Vec<QueryPlan> {
         let mut plans = Vec::new();
         for index in coll.indexes().iter() {
-            if let Some(plan) = self.plan_for_index(index.spec(), &shape) {
+            if let Some(plan) = self.plan_for_index(index.spec(), filter, shape) {
                 plans.push(plan);
             }
         }
@@ -71,12 +82,22 @@ impl Planner {
             ranges: vec![ScanRange::whole()],
             access: IndexAccess::Sequential,
             key_filters: vec![],
+            residual: None,
             is_fallback: true,
         }
     }
 
-    /// Rule-based bounds derivation for one index.
-    fn plan_for_index(&self, spec: &IndexSpec, shape: &QueryShape) -> Option<QueryPlan> {
+    /// Rule-based bounds derivation for one index. The plan's residual
+    /// drops exactly what its bounds prove: the `$or`/`$in` that became
+    /// B+tree intervals on the leading path, and the inclusive range
+    /// held by the leading bounds, a skip-scan or an interval key
+    /// filter. GeoHash cells only ever narrow the scan.
+    fn plan_for_index(
+        &self,
+        spec: &IndexSpec,
+        filter: &Filter,
+        shape: &QueryShape,
+    ) -> Option<QueryPlan> {
         let lead = &spec.fields[0];
         match lead.kind {
             FieldKind::Geo2dSphere { bits } => {
@@ -91,12 +112,13 @@ impl Planner {
                 // Trailing predicates become index-level filters: the
                 // 2dsphere stage does not seek on them (see
                 // `IndexAccess::Sequential` docs).
-                let key_filters = self.trailing_filters(spec, shape, 1);
+                let (key_filters, range_proven) = self.trailing_filters(spec, shape);
                 Some(QueryPlan {
                     index_name: spec.name.clone(),
                     ranges,
                     access: IndexAccess::Sequential,
                     key_filters,
+                    residual: Some(Arc::new(shape.residual(filter, false, range_proven))),
                     is_fallback: false,
                 })
             }
@@ -115,16 +137,18 @@ impl Planner {
                             })
                             .collect();
                         let access = self.trailing_skip(spec, shape);
-                        let key_filters = if matches!(access, IndexAccess::SkipScan { .. }) {
-                            vec![]
-                        } else {
-                            self.trailing_filters(spec, shape, 1)
-                        };
+                        let (key_filters, range_proven) =
+                            if matches!(access, IndexAccess::SkipScan { .. }) {
+                                (vec![], true)
+                            } else {
+                                self.trailing_filters(spec, shape)
+                            };
                         return Some(QueryPlan {
                             index_name: spec.name.clone(),
                             ranges,
                             access,
                             key_filters,
+                            residual: Some(Arc::new(shape.residual(filter, true, range_proven))),
                             is_fallback: false,
                         });
                     }
@@ -138,12 +162,13 @@ impl Planner {
                     iv.lo.as_ref().map(|v| (v, true)),
                     iv.hi.as_ref().map(|v| (v, true)),
                 )];
-                let key_filters = self.trailing_filters(spec, shape, 1);
+                let (key_filters, _) = self.trailing_filters(spec, shape);
                 Some(QueryPlan {
                     index_name: spec.name.clone(),
                     ranges,
                     access: IndexAccess::Sequential,
                     key_filters,
+                    residual: Some(Arc::new(shape.residual(filter, false, true))),
                     is_fallback: false,
                 })
             }
@@ -170,16 +195,13 @@ impl Planner {
         IndexAccess::Sequential
     }
 
-    /// Index-level filters for trailing compound fields from position
-    /// `from` onwards.
-    fn trailing_filters(
-        &self,
-        spec: &IndexSpec,
-        shape: &QueryShape,
-        from: usize,
-    ) -> Vec<KeyFilter> {
+    /// Index-level filters for the compound fields after the leading
+    /// one, and whether one of them holds the shape's range to its
+    /// inclusive `[lo, hi]` interval.
+    fn trailing_filters(&self, spec: &IndexSpec, shape: &QueryShape) -> (Vec<KeyFilter>, bool) {
         let mut filters = Vec::new();
-        for (pos, field) in spec.fields.iter().enumerate().skip(from) {
+        let mut range_proven = false;
+        for (pos, field) in spec.fields.iter().enumerate().skip(1) {
             match field.kind {
                 FieldKind::Asc => {
                     if let Some((ipath, intervals)) = &shape.int_intervals {
@@ -191,6 +213,7 @@ impl Planner {
                     if let Some(iv) = shape.range_for(&field.path) {
                         if let (Some(lo), Some(hi)) = (&iv.lo, &iv.hi) {
                             filters.push(KeyFilter::from_interval(pos, lo.clone(), hi.clone()));
+                            range_proven = true;
                         }
                     }
                 }
@@ -206,12 +229,24 @@ impl Planner {
                 FieldKind::Hashed => {}
             }
         }
-        filters
+        (filters, range_proven)
     }
 
     /// Choose a plan by trial execution (multi-planner).
     pub fn choose(&self, coll: &LocalCollection, filter: &Filter) -> QueryPlan {
-        let mut plans = self.candidates(coll, filter);
+        self.choose_for(coll, filter, &QueryShape::analyze(filter))
+    }
+
+    /// [`choose`](Self::choose) for a filter whose shape the caller has
+    /// already analyzed — the router analyzes once per query, not once
+    /// per shard.
+    pub fn choose_for(
+        &self,
+        coll: &LocalCollection,
+        filter: &Filter,
+        shape: &QueryShape,
+    ) -> QueryPlan {
+        let mut plans = self.candidates_for(coll, filter, shape);
         if plans.len() == 1 {
             return plans.pop().unwrap();
         }

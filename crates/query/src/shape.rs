@@ -2,7 +2,7 @@
 
 use crate::filter::{CmpOp, Filter};
 use std::cmp::Ordering;
-use sts_document::Value;
+use sts_document::{Value, ValueKind};
 use sts_geo::GeoRect;
 
 /// An interval over one field's values; `None` endpoints are unbounded.
@@ -59,6 +59,25 @@ pub struct QueryShape {
     pub int_intervals: Option<(String, Vec<(i64, i64)>)>,
     /// Whether every predicate was absorbed into the fields above.
     pub fully_captured: bool,
+    /// Position, among the filter's top-level conjuncts, of the one
+    /// `$or`/`$in` that admits *exactly* `int_intervals`. `None` when
+    /// several were unioned (the filter intersects them) or merging
+    /// bridged two neighbouring integers (a fractional double between
+    /// them is inside the merged interval, outside the filter's).
+    int_conjunct: Option<usize>,
+}
+
+/// The leaves of a filter's top-level `$and` tree, in order.
+fn conjuncts(filter: &Filter) -> Vec<&Filter> {
+    fn walk<'a>(filter: &'a Filter, out: &mut Vec<&'a Filter>) {
+        match filter {
+            Filter::And(fs) => fs.iter().for_each(|f| walk(f, out)),
+            leaf => out.push(leaf),
+        }
+    }
+    let mut out = Vec::new();
+    walk(filter, &mut out);
+    out
 }
 
 impl QueryShape {
@@ -68,19 +87,72 @@ impl QueryShape {
             fully_captured: true,
             ..QueryShape::default()
         };
-        shape.absorb(filter);
+        for (at, conjunct) in conjuncts(filter).into_iter().enumerate() {
+            shape.absorb(at, conjunct);
+        }
         if let Some((_, ivs)) = &mut shape.int_intervals {
             ivs.sort_unstable();
             let mut merged: Vec<(i64, i64)> = Vec::with_capacity(ivs.len());
             for &(lo, hi) in ivs.iter() {
                 match merged.last_mut() {
-                    Some((_, ph)) if lo <= ph.saturating_add(1) => *ph = (*ph).max(hi),
+                    Some((_, ph)) if lo <= ph.saturating_add(1) => {
+                        if lo > *ph {
+                            shape.int_conjunct = None;
+                        }
+                        *ph = (*ph).max(hi);
+                    }
                     _ => merged.push((lo, hi)),
                 }
             }
             *ivs = merged;
         }
         shape
+    }
+
+    /// `filter` minus the top-level conjuncts an index access has
+    /// already proven for every key it emits — what is left to check
+    /// on the fetched document.
+    ///
+    /// `intervals_proven`: the B+tree bounds are `int_intervals` on
+    /// their path, so the one `$or`/`$in` they came from is dropped.
+    /// `range_proven`: the keys' value on the `range` path is held
+    /// inside `[lo, hi]`; then every inclusive comparison on that path
+    /// is dropped, provided both endpoints and the comparison's own
+    /// value share one type bracket other than null — only then does
+    /// "inside the window" imply the comparison under MongoDB's type
+    /// bracketing, and only then is a missing field (indexed as null)
+    /// outside it. Strict comparisons (bounds are widened), geometry
+    /// (coverings are supersets) and everything unabsorbed stay.
+    pub fn residual(&self, filter: &Filter, intervals_proven: bool, range_proven: bool) -> Filter {
+        let window = self
+            .range
+            .as_ref()
+            .filter(|_| range_proven)
+            .and_then(|(path, iv)| match (&iv.lo, &iv.hi) {
+                (Some(lo), Some(hi)) if lo.kind() == hi.kind() && lo.kind() != ValueKind::Null => {
+                    Some((path, lo.kind()))
+                }
+                _ => None,
+            });
+        let mut kept: Vec<Filter> = conjuncts(filter)
+            .into_iter()
+            .enumerate()
+            .filter(|&(at, conjunct)| match conjunct {
+                Filter::Cmp { path, op, value } => {
+                    matches!(op, CmpOp::Gt | CmpOp::Lt) || window != Some((path, value.kind()))
+                }
+                Filter::Or(_) | Filter::In { .. } => {
+                    !(intervals_proven && self.int_conjunct == Some(at))
+                }
+                _ => true,
+            })
+            .map(|(_, conjunct)| conjunct.clone())
+            .collect();
+        if kept.len() == 1 {
+            kept.remove(0)
+        } else {
+            Filter::And(kept)
+        }
     }
 
     /// The interval constraint for `path`, if any.
@@ -91,13 +163,10 @@ impl QueryShape {
         }
     }
 
-    fn absorb(&mut self, filter: &Filter) {
-        match filter {
-            Filter::And(fs) => {
-                for f in fs {
-                    self.absorb(f);
-                }
-            }
+    /// Absorb the top-level conjunct at position `at`.
+    fn absorb(&mut self, at: usize, conjunct: &Filter) {
+        match conjunct {
+            Filter::And(_) => unreachable!("`conjuncts` flattens nested conjunctions"),
             Filter::GeoWithin { path, rect } => {
                 if self.geo.is_none() {
                     self.geo = Some((path.clone(), *rect));
@@ -132,7 +201,7 @@ impl QueryShape {
                 }
             }
             Filter::Or(branches) => {
-                if self.int_intervals.is_some() || !self.absorb_or(branches) {
+                if self.int_intervals.is_some() || !self.absorb_or(at, branches) {
                     self.fully_captured = false;
                 }
             }
@@ -145,7 +214,7 @@ impl QueryShape {
                             (x, x)
                         })
                         .collect();
-                    self.push_int_intervals(path, ivs);
+                    self.push_int_intervals(at, path, ivs);
                 } else {
                     self.fully_captured = false;
                 }
@@ -167,7 +236,7 @@ impl QueryShape {
 
     /// Try to absorb an `$or` of interval clauses over a single integer
     /// path. Returns `false` when the disjunction has any other form.
-    fn absorb_or(&mut self, branches: &[Filter]) -> bool {
+    fn absorb_or(&mut self, at: usize, branches: &[Filter]) -> bool {
         let mut path: Option<String> = None;
         let mut ivs: Vec<(i64, i64)> = Vec::new();
         for b in branches {
@@ -234,17 +303,23 @@ impl QueryShape {
         }
         match path {
             Some(p) if !ivs.is_empty() => {
-                self.push_int_intervals(&p, ivs);
+                self.push_int_intervals(at, &p, ivs);
                 true
             }
             _ => false,
         }
     }
 
-    fn push_int_intervals(&mut self, path: &str, ivs: Vec<(i64, i64)>) {
+    fn push_int_intervals(&mut self, at: usize, path: &str, ivs: Vec<(i64, i64)>) {
         match &mut self.int_intervals {
-            None => self.int_intervals = Some((path.to_string(), ivs)),
-            Some((p, existing)) if p == path => existing.extend(ivs),
+            None => {
+                self.int_intervals = Some((path.to_string(), ivs));
+                self.int_conjunct = Some(at);
+            }
+            Some((p, existing)) if p == path => {
+                existing.extend(ivs);
+                self.int_conjunct = None;
+            }
             Some(_) => self.fully_captured = false,
         }
     }

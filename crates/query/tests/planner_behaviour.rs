@@ -182,3 +182,401 @@ fn geo_scan_cell_budget_controls_range_count() {
     assert!(pc.ranges.len() <= pf.ranges.len());
     assert!(pf.ranges.len() > 4);
 }
+
+// ------------------------------------------------------------------
+// Residuals: what a plan's bounds prove is dropped from the per-document
+// check, everything else is kept, and results stay exact.
+
+use proptest::prelude::*;
+use sts_geo::{GeoPoint, GeoPolygon};
+use sts_query::{execute_plan, CmpOp};
+
+/// The three local index layouts behind the four approaches (`hil` and
+/// `hil*` differ only in the curve's extent, not in the indexes).
+fn approach_collections() -> [(&'static str, LocalCollection); 3] {
+    let with = |specs: Vec<IndexSpec>| {
+        let mut c = LocalCollection::new();
+        c.create_index(IndexSpec::single("_id"));
+        specs.into_iter().for_each(|s| c.create_index(s));
+        c
+    };
+    [
+        (
+            "bslST",
+            with(vec![
+                IndexSpec::new(
+                    "location_2dsphere_date_1",
+                    vec![IndexField::geo("location"), IndexField::asc("date")],
+                ),
+                IndexSpec::single("date"),
+            ]),
+        ),
+        (
+            "bslTS",
+            with(vec![
+                IndexSpec::new(
+                    "date_1_location_2dsphere",
+                    vec![IndexField::asc("date"), IndexField::geo("location")],
+                ),
+                IndexSpec::single("date"),
+            ]),
+        ),
+        (
+            "hil/hil*",
+            with(vec![IndexSpec::new(
+                "hilbertIndex_1_date_1",
+                vec![IndexField::asc("hilbertIndex"), IndexField::asc("date")],
+            )]),
+        ),
+    ]
+}
+
+fn geo(rect: GeoRect) -> Filter {
+    Filter::GeoWithin {
+        path: "location".into(),
+        rect,
+    }
+}
+
+fn cmp(path: &str, op: CmpOp, value: impl Into<Value>) -> Filter {
+    Filter::Cmp {
+        path: path.into(),
+        op,
+        value: value.into(),
+    }
+}
+
+fn dt(ms: i64) -> DateTime {
+    DateTime::from_millis(ms)
+}
+
+/// `$or` of `[lo, hi]` interval branches on `hilbertIndex`.
+fn hilbert_or(intervals: &[(i64, i64)]) -> Filter {
+    Filter::Or(
+        intervals
+            .iter()
+            .map(|&(lo, hi)| {
+                Filter::And(vec![
+                    Filter::gte("hilbertIndex", lo),
+                    Filter::lte("hilbertIndex", hi),
+                ])
+            })
+            .collect(),
+    )
+}
+
+/// The residual of the (single) candidate plan on `index`.
+fn residual_on(c: &LocalCollection, index: &str, f: &Filter) -> Filter {
+    Planner::default()
+        .candidates(c, f)
+        .into_iter()
+        .find(|p| p.index_name == index)
+        .unwrap_or_else(|| panic!("no plan on {index}"))
+        .residual
+        .as_deref()
+        .expect("index plans carry a residual")
+        .clone()
+}
+
+#[test]
+fn each_approach_drops_what_its_bounds_prove_and_keeps_the_geo_within() {
+    let rect = GeoRect::new(21.0, 36.0, 23.0, 38.0);
+    let window = [Filter::gte("date", dt(0)), Filter::lte("date", dt(9_000))];
+    let st = Filter::And(vec![geo(rect), window[0].clone(), window[1].clone()]);
+    let hil = Filter::And(vec![
+        geo(rect),
+        window[0].clone(),
+        window[1].clone(),
+        hilbert_or(&[(3, 9), (20, 20)]),
+    ]);
+    let [(_, bsl_st), (_, bsl_ts), (_, hilbert)] = approach_collections();
+    // bslST: GeoHash cells only narrow the scan (kept); the date window
+    // is an interval key filter on the compound, the B+tree bounds on
+    // the single-field index (dropped either way).
+    assert_eq!(
+        residual_on(&bsl_st, "location_2dsphere_date_1", &st),
+        geo(rect)
+    );
+    assert_eq!(residual_on(&bsl_st, "date", &st), geo(rect));
+    // bslTS: the date window is the leading bounds; the trailing
+    // GeoHash key filter is a superset.
+    assert_eq!(
+        residual_on(&bsl_ts, "date_1_location_2dsphere", &st),
+        geo(rect)
+    );
+    // hil / hil*: the `$or` is the B+tree bounds, the window the
+    // skip-scan; one rectangle test is left.
+    assert_eq!(
+        residual_on(&hilbert, "hilbertIndex_1_date_1", &hil),
+        geo(rect)
+    );
+    // No index constraint at all: the fallback checks the whole filter.
+    let off_index = Filter::gte("speedKmh", 10.0);
+    assert_eq!(
+        Planner::default().choose(&hilbert, &off_index).residual,
+        None
+    );
+}
+
+#[test]
+fn lossy_or_unabsorbed_conjuncts_are_never_dropped() {
+    let [_, _, (_, c)] = approach_collections();
+    let rect = GeoRect::new(21.0, 36.0, 23.0, 38.0);
+    let or = hilbert_or(&[(3, 9)]);
+    let on = |f: &Filter| residual_on(&c, "hilbertIndex_1_date_1", f);
+    let and = Filter::And;
+
+    // Strict comparisons widen the bounds: both stay, the `$or` goes.
+    let strict = [
+        cmp("date", CmpOp::Gt, dt(0)),
+        cmp("date", CmpOp::Lt, dt(9_000)),
+    ];
+    let f = and(vec![strict[0].clone(), strict[1].clone(), or.clone()]);
+    assert_eq!(on(&f), and(strict.to_vec()));
+    // One strict, one inclusive: only the inclusive one is proven.
+    let f = and(vec![
+        strict[0].clone(),
+        Filter::lte("date", dt(9_000)),
+        or.clone(),
+    ]);
+    assert_eq!(on(&f), strict[0]);
+
+    // A polygon is planned through its bounding box.
+    let polygon = Filter::GeoWithinPolygon {
+        path: "location".into(),
+        polygon: GeoPolygon::new(vec![
+            GeoPoint::new(21.0, 36.0),
+            GeoPoint::new(23.0, 36.0),
+            GeoPoint::new(22.0, 38.0),
+        ])
+        .unwrap(),
+    };
+    assert_eq!(on(&and(vec![polygon.clone(), or.clone()])), polygon);
+
+    // A second `$or` is not absorbed; an extra field predicate neither.
+    let second = hilbert_or(&[(5, 30)]);
+    let speed = Filter::gte("speedKmh", 10.0);
+    let f = and(vec![geo(rect), or.clone(), second.clone(), speed.clone()]);
+    assert_eq!(on(&f), and(vec![geo(rect), second, speed]));
+
+    // Two `$in`s on the path are unioned into the bounds but the filter
+    // intersects them: neither is proven.
+    let ins = |vs: &[i64]| Filter::In {
+        path: "hilbertIndex".into(),
+        values: vs.iter().map(|&v| Value::Int64(v)).collect(),
+    };
+    let f = and(vec![ins(&[1, 3]), ins(&[3, 5])]);
+    assert_eq!(on(&f), f);
+    // Neighbouring integers merge into one scan range, which admits the
+    // fractional doubles between them; the `$in` does not.
+    assert_eq!(on(&ins(&[5, 6])), ins(&[5, 6]));
+    assert_eq!(on(&ins(&[5, 7])), and(vec![]));
+
+    // A half-open window is neither a skip-scan nor a key filter.
+    let f = and(vec![Filter::gte("date", dt(0)), or.clone()]);
+    assert_eq!(on(&f), Filter::gte("date", dt(0)));
+    // A window whose ends sit in different type brackets, or in the
+    // null bracket (where missing fields are indexed), proves nothing
+    // under MongoDB's type bracketing.
+    let mixed = [Filter::gte("date", 0i64), Filter::lte("date", dt(9_000))];
+    let f = and(vec![mixed[0].clone(), mixed[1].clone(), or.clone()]);
+    assert_eq!(on(&f), and(mixed.to_vec()));
+    let nulls = [
+        Filter::gte("date", Value::Null),
+        Filter::lte("date", Value::Null),
+    ];
+    let f = and(vec![nulls[0].clone(), nulls[1].clone(), or.clone()]);
+    assert_eq!(on(&f), and(nulls.to_vec()));
+    // A bound from another bracket than the window's is kept even when
+    // a tighter same-bracket bound exists.
+    let f = and(vec![
+        Filter::gte("date", 5i64),
+        Filter::gte("date", dt(0)),
+        Filter::lte("date", dt(9_000)),
+        or,
+    ]);
+    assert_eq!(on(&f), Filter::gte("date", 5i64));
+}
+
+/// Small value domains, so stored values land exactly on bounds and
+/// in the gaps between neighbouring integers.
+const DATES: std::ops::Range<i64> = 0..12;
+const CELLS: std::ops::Range<i64> = 0..24;
+
+/// What a `date` or `hilbertIndex` field may hold instead of its
+/// expected type: nothing, a null, a string, a fractional double,
+/// another integer.
+fn off_type() -> impl Strategy<Value = Option<Value>> {
+    prop_oneof![
+        Just(None),
+        Just(Some(Value::Null)),
+        "[a-b]{0,1}".prop_map(|s| Some(Value::from(s))),
+        (0i64..48).prop_map(|x| Some(Value::Double(x as f64 / 2.0))),
+        CELLS.prop_map(|x| Some(Value::Double(x as f64 + 0.5))),
+        CELLS.prop_map(|x| Some(Value::Int64(x))),
+    ]
+}
+
+/// `(lon, lat, date, hilbertIndex)`: two documents in three carry a
+/// datetime / an integer, so windows stay populated while every
+/// off-type value shows up.
+fn random_doc() -> impl Strategy<Value = (f64, f64, Option<Value>, Option<Value>)> {
+    let date = || DATES.prop_map(|ms| Some(Value::DateTime(dt(ms))));
+    let hilbert = || CELLS.prop_map(|x| Some(Value::Int64(x)));
+    (
+        20.0f64..24.0,
+        35.0f64..39.0,
+        prop_oneof![date(), date(), off_type()],
+        prop_oneof![hilbert(), hilbert(), off_type()],
+    )
+}
+
+/// A bound on `date`: a datetime, or now and then a number or a null.
+fn date_bound() -> impl Strategy<Value = Value> {
+    let date = || DATES.prop_map(|ms| Value::DateTime(dt(ms)));
+    prop_oneof![
+        date(),
+        date(),
+        date(),
+        DATES.prop_map(Value::Int64),
+        Just(Value::Null),
+    ]
+}
+
+/// A conjunct the bounds cannot prove, or can prove only in part: a
+/// second `$or`, a top-level `$in` (unioned into the bounds though the
+/// filter intersects it), a predicate on the leading field, a third —
+/// possibly off-bracket, possibly strict — comparison on `date`.
+fn extra_conjunct() -> impl Strategy<Value = Filter> {
+    let date_cmp = || {
+        (date_bound(), 0usize..5).prop_map(|(v, op)| {
+            let ops = [CmpOp::Gte, CmpOp::Gte, CmpOp::Lte, CmpOp::Gt, CmpOp::Eq];
+            cmp("date", ops[op], v)
+        })
+    };
+    prop_oneof![
+        prop::collection::vec((CELLS, 0i64..12), 1..3).prop_map(|ivs| {
+            let ivs: Vec<(i64, i64)> = ivs.iter().map(|&(lo, w)| (lo, lo + w)).collect();
+            hilbert_or(&ivs)
+        }),
+        prop::collection::vec(CELLS, 1..8).prop_map(|vs| Filter::In {
+            path: "hilbertIndex".into(),
+            values: vs.into_iter().map(Value::Int64).collect(),
+        }),
+        CELLS.prop_map(|x| Filter::lte("hilbertIndex", x)),
+        date_cmp(),
+        date_cmp(),
+    ]
+}
+
+fn random_filter() -> impl Strategy<Value = Filter> {
+    (
+        (
+            19.0f64..22.0,
+            34.0f64..37.0,
+            1.0f64..5.0,
+            1.0f64..5.0,
+            0u8..4,
+        ),
+        (date_bound(), date_bound(), 0u8..12),
+        prop::collection::vec((CELLS, 0i64..6), 1..4),
+        prop::collection::vec(CELLS, 0..4),
+        prop::collection::vec(extra_conjunct(), 0..3),
+    )
+        .prop_map(|(space, (t_a, t_b, strictness), ivs, singles, extra)| {
+            let (lon, lat, w, h, shape) = space;
+            let mut clauses = vec![if shape == 0 {
+                Filter::GeoWithinPolygon {
+                    path: "location".into(),
+                    polygon: GeoPolygon::new(vec![
+                        GeoPoint::new(lon, lat),
+                        GeoPoint::new(lon + w, lat),
+                        GeoPoint::new(lon + w / 2.0, lat + h),
+                    ])
+                    .unwrap(),
+                }
+            } else {
+                geo(GeoRect::new(lon, lat, lon + w, lat + h))
+            }];
+            // Mostly a proper inclusive window. `strictness` 1..=3 makes
+            // the lower / upper / both bounds strict, 4 leaves the
+            // window half-open, 5 inverts it, 6..=8 pin it to one value.
+            let (t_lo, t_hi) = match (strictness, t_a.canonical_cmp(&t_b)) {
+                (6..=8, _) => (t_a.clone(), t_a),
+                (5, std::cmp::Ordering::Less) => (t_b, t_a),
+                (0..=4 | 9.., std::cmp::Ordering::Greater) => (t_b, t_a),
+                _ => (t_a, t_b),
+            };
+            let strict = |on: bool, strict_op, op| if on { strict_op } else { op };
+            let lo_op = strict(matches!(strictness, 1 | 3), CmpOp::Gt, CmpOp::Gte);
+            let hi_op = strict(matches!(strictness, 2 | 3), CmpOp::Lt, CmpOp::Lte);
+            clauses.push(cmp("date", lo_op, t_lo));
+            if strictness != 4 {
+                clauses.push(cmp("date", hi_op, t_hi));
+            }
+            let intervals: Vec<(i64, i64)> = ivs.iter().map(|&(lo, w)| (lo, lo + w)).collect();
+            let Filter::Or(mut branches) = hilbert_or(&intervals) else {
+                unreachable!("hilbert_or builds an $or");
+            };
+            if !singles.is_empty() {
+                branches.push(Filter::In {
+                    path: "hilbertIndex".into(),
+                    values: singles.into_iter().map(Value::Int64).collect(),
+                });
+            }
+            clauses.push(Filter::Or(branches));
+            clauses.extend(extra);
+            Filter::And(clauses)
+        })
+}
+
+fn sorted_ids(docs: &[Document]) -> Vec<sts_document::ObjectId> {
+    let mut ids: Vec<_> = docs.iter().map(|d| d.object_id().unwrap()).collect();
+    ids.sort();
+    ids
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Every candidate plan of every approach's index layout — not only
+    /// the trial winner — returns exactly what a collection scan with
+    /// the *whole* filter returns, on data whose `date`/`hilbertIndex`
+    /// may be off-type or absent and on filters mixing provable and
+    /// unprovable conjuncts.
+    #[test]
+    fn prop_every_plan_equals_collscan_with_the_whole_filter(
+        docs in prop::collection::vec(random_doc(), 1..300),
+        filters in prop::collection::vec(random_filter(), 1..8),
+    ) {
+        for (name, mut c) in approach_collections() {
+            for (i, (lon, lat, date, hilbert)) in docs.iter().enumerate() {
+                let mut d = doc! {
+                    "location" => doc! {
+                        "type" => "Point",
+                        "coordinates" => vec![Value::from(*lon), Value::from(*lat)],
+                    },
+                };
+                if let Some(v) = date {
+                    d.set("date", v.clone());
+                }
+                if let Some(v) = hilbert {
+                    d.set("hilbertIndex", v.clone());
+                }
+                d.ensure_id(i as u32);
+                c.insert(&d).unwrap();
+            }
+            for f in &filters {
+                let truth = sorted_ids(&c.find_collscan(f));
+                prop_assert_eq!(sorted_ids(&c.find(f).0), truth.clone(), "{} find {:?}", name, f);
+                for plan in Planner::default().candidates(&c, f) {
+                    let (got, _) = execute_plan(&c, f, &plan, None, true);
+                    prop_assert_eq!(
+                        sorted_ids(&got), truth.clone(),
+                        "{} plan {} residual {:?} filter {:?}", name, plan.describe(), plan.residual, f
+                    );
+                }
+            }
+        }
+    }
+}

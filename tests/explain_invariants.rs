@@ -143,3 +143,41 @@ fn recovery_counters_zero_without_failpoints() {
         }
     }
 }
+
+/// `st_explain()` renders each shard's residual. On hil* the index
+/// proves the `$or` of curve intervals (B+tree bounds) and the date
+/// window (skip-scan), so only the `$geoWithin` is left to check.
+#[test]
+fn hil_star_explain_reports_the_geo_within_alone_as_residual() {
+    use sts::document::Value;
+    let store = store_for(Approach::HilStar, &corpus(), R_MBR, NUM_SHARDS);
+    let mut shards_seen = 0;
+    for q in workload() {
+        let want = format!(
+            "{:?}",
+            Filter::GeoWithin {
+                path: "location".into(),
+                rect: q.rect,
+            }
+        );
+        let explain = store.st_explain(&q);
+        let Some(Value::Array(shards)) = explain.get("shards") else {
+            panic!("explain lacks shards: {explain:?}");
+        };
+        for shard in shards {
+            let Value::Document(shard) = shard else {
+                panic!("shard entry is not a document");
+            };
+            assert_eq!(
+                shard.get("indexUsed").and_then(Value::as_str),
+                Some("hilbertIndex_1_date_1")
+            );
+            assert_eq!(
+                shard.get("residual").and_then(Value::as_str),
+                Some(want.as_str())
+            );
+            shards_seen += 1;
+        }
+    }
+    assert!(shards_seen > 0, "no shard was ever targeted");
+}
