@@ -1019,9 +1019,7 @@ impl Cluster {
     ) -> (Vec<Document>, ClusterQueryReport) {
         let planner = self.config.planner;
         let (chunks, mut report) = self.scatter_gather(filter, opts, |sid, shape| {
-            self.shards[sid]
-                .collection()
-                .find_shaped(&planner, filter, shape)
+            self.shards[sid].collection().find_shaped(&planner, shape)
         });
         let merge_start = Instant::now();
         // `Flatten` has no useful size hint; pre-size the merge vector
@@ -1057,7 +1055,7 @@ impl Cluster {
         let (chunks, mut report) =
             self.scatter_gather(filter, QueryExecOptions::default(), |sid, shape| {
                 let coll = self.shards[sid].collection();
-                let (mut docs, stats) = coll.find_shaped(&planner, filter, shape);
+                let (mut docs, stats) = coll.find_shaped(&planner, shape);
                 options.shape(&mut docs);
                 (docs, stats)
             });

@@ -228,19 +228,19 @@ impl LocalCollection {
         planner: &Planner,
         filter: &Filter,
     ) -> (Vec<Document>, ExecutionStats) {
-        self.find_shaped(planner, filter, &QueryShape::analyze(filter))
+        self.find_shaped(planner, &QueryShape::analyze(filter))
     }
 
-    /// [`find_with_planner`](Self::find_with_planner) for a filter whose
-    /// shape the caller (the cluster router) has already analyzed.
+    /// [`find_with_planner`](Self::find_with_planner) for a filter the
+    /// caller (the cluster router) has already analyzed.
     pub fn find_shaped(
         &self,
         planner: &Planner,
-        filter: &Filter,
         shape: &QueryShape,
     ) -> (Vec<Document>, ExecutionStats) {
+        let filter = shape.filter();
         let planning_start = std::time::Instant::now();
-        let plan = planner.choose_for(self, filter, shape);
+        let plan = planner.choose_for(self, shape);
         let planning = planning_start.elapsed();
         let mut scratch = self
             .scratch

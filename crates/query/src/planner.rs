@@ -46,20 +46,14 @@ impl Planner {
     /// Generate every candidate plan for `filter` over the collection's
     /// indexes. Always returns at least one plan (the fallback scan).
     pub fn candidates(&self, coll: &LocalCollection, filter: &Filter) -> Vec<QueryPlan> {
-        self.candidates_for(coll, filter, &QueryShape::analyze(filter))
+        self.candidates_for(coll, &QueryShape::analyze(filter))
     }
 
-    /// [`candidates`](Self::candidates) for a filter whose shape the
-    /// caller has already analyzed.
-    fn candidates_for(
-        &self,
-        coll: &LocalCollection,
-        filter: &Filter,
-        shape: &QueryShape,
-    ) -> Vec<QueryPlan> {
+    /// [`candidates`](Self::candidates) for an already analyzed filter.
+    fn candidates_for(&self, coll: &LocalCollection, shape: &QueryShape) -> Vec<QueryPlan> {
         let mut plans = Vec::new();
         for index in coll.indexes().iter() {
-            if let Some(plan) = self.plan_for_index(index.spec(), filter, shape) {
+            if let Some(plan) = self.plan_for_index(index.spec(), shape) {
                 plans.push(plan);
             }
         }
@@ -92,12 +86,7 @@ impl Planner {
     /// B+tree intervals on the leading path, and the inclusive range
     /// held by the leading bounds, a skip-scan or an interval key
     /// filter. GeoHash cells only ever narrow the scan.
-    fn plan_for_index(
-        &self,
-        spec: &IndexSpec,
-        filter: &Filter,
-        shape: &QueryShape,
-    ) -> Option<QueryPlan> {
+    fn plan_for_index(&self, spec: &IndexSpec, shape: &QueryShape) -> Option<QueryPlan> {
         let lead = &spec.fields[0];
         match lead.kind {
             FieldKind::Geo2dSphere { bits } => {
@@ -118,7 +107,7 @@ impl Planner {
                     ranges,
                     access: IndexAccess::Sequential,
                     key_filters,
-                    residual: Some(Arc::new(shape.residual(filter, false, range_proven))),
+                    residual: Some(Arc::new(shape.residual(false, range_proven))),
                     is_fallback: false,
                 })
             }
@@ -148,7 +137,7 @@ impl Planner {
                             ranges,
                             access,
                             key_filters,
-                            residual: Some(Arc::new(shape.residual(filter, true, range_proven))),
+                            residual: Some(Arc::new(shape.residual(true, range_proven))),
                             is_fallback: false,
                         });
                     }
@@ -168,7 +157,7 @@ impl Planner {
                     ranges,
                     access: IndexAccess::Sequential,
                     key_filters,
-                    residual: Some(Arc::new(shape.residual(filter, false, true))),
+                    residual: Some(Arc::new(shape.residual(false, true))),
                     is_fallback: false,
                 })
             }
@@ -234,19 +223,14 @@ impl Planner {
 
     /// Choose a plan by trial execution (multi-planner).
     pub fn choose(&self, coll: &LocalCollection, filter: &Filter) -> QueryPlan {
-        self.choose_for(coll, filter, &QueryShape::analyze(filter))
+        self.choose_for(coll, &QueryShape::analyze(filter))
     }
 
-    /// [`choose`](Self::choose) for a filter whose shape the caller has
-    /// already analyzed — the router analyzes once per query, not once
-    /// per shard.
-    pub fn choose_for(
-        &self,
-        coll: &LocalCollection,
-        filter: &Filter,
-        shape: &QueryShape,
-    ) -> QueryPlan {
-        let mut plans = self.candidates_for(coll, filter, shape);
+    /// [`choose`](Self::choose) for an already analyzed filter — the
+    /// router analyzes once per query, not once per shard.
+    pub fn choose_for(&self, coll: &LocalCollection, shape: &QueryShape) -> QueryPlan {
+        let filter = shape.filter();
+        let mut plans = self.candidates_for(coll, shape);
         if plans.len() == 1 {
             return plans.pop().unwrap();
         }

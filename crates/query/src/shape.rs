@@ -47,8 +47,14 @@ impl ValueInterval {
 /// an `$or` of 1D intervals on one integer field. Anything outside that
 /// class clears `fully_captured` and is handled by residual filtering on
 /// fetched documents (which always runs anyway for exactness).
-#[derive(Clone, Debug, Default)]
-pub struct QueryShape {
+///
+/// A shape borrows the filter it was analyzed from, so the two cannot
+/// be paired wrongly: [`residual`](Self::residual) drops conjuncts of
+/// that filter and no other.
+#[derive(Clone, Debug)]
+pub struct QueryShape<'f> {
+    /// The analyzed filter.
+    filter: &'f Filter,
     /// `$geoWithin` rectangle (path, rect).
     pub geo: Option<(String, GeoRect)>,
     /// Interval constraint (path, interval) from `$gte`/`$lte`/`$eq`.
@@ -80,12 +86,16 @@ fn conjuncts(filter: &Filter) -> Vec<&Filter> {
     out
 }
 
-impl QueryShape {
+impl<'f> QueryShape<'f> {
     /// Analyze a filter.
-    pub fn analyze(filter: &Filter) -> QueryShape {
+    pub fn analyze(filter: &'f Filter) -> QueryShape<'f> {
         let mut shape = QueryShape {
+            filter,
+            geo: None,
+            range: None,
+            int_intervals: None,
             fully_captured: true,
-            ..QueryShape::default()
+            int_conjunct: None,
         };
         for (at, conjunct) in conjuncts(filter).into_iter().enumerate() {
             shape.absorb(at, conjunct);
@@ -109,7 +119,12 @@ impl QueryShape {
         shape
     }
 
-    /// `filter` minus the top-level conjuncts an index access has
+    /// The filter this shape was analyzed from.
+    pub fn filter(&self) -> &'f Filter {
+        self.filter
+    }
+
+    /// The filter minus the top-level conjuncts an index access has
     /// already proven for every key it emits — what is left to check
     /// on the fetched document.
     ///
@@ -123,7 +138,7 @@ impl QueryShape {
     /// bracketing, and only then is a missing field (indexed as null)
     /// outside it. Strict comparisons (bounds are widened), geometry
     /// (coverings are supersets) and everything unabsorbed stay.
-    pub fn residual(&self, filter: &Filter, intervals_proven: bool, range_proven: bool) -> Filter {
+    pub fn residual(&self, intervals_proven: bool, range_proven: bool) -> Filter {
         let window = self
             .range
             .as_ref()
@@ -134,7 +149,7 @@ impl QueryShape {
                 }
                 _ => None,
             });
-        let mut kept: Vec<Filter> = conjuncts(filter)
+        let mut kept: Vec<Filter> = conjuncts(self.filter)
             .into_iter()
             .enumerate()
             .filter(|&(at, conjunct)| match conjunct {
@@ -236,6 +251,9 @@ impl QueryShape {
 
     /// Try to absorb an `$or` of interval clauses over a single integer
     /// path. Returns `false` when the disjunction has any other form.
+    /// Absorption is exact — `residual` may drop the `$or` on the
+    /// strength of it: repeated bounds inside a branch intersect, and a
+    /// branch they leave empty contributes no interval.
     fn absorb_or(&mut self, at: usize, branches: &[Filter]) -> bool {
         let mut path: Option<String> = None;
         let mut ivs: Vec<(i64, i64)> = Vec::new();
@@ -258,20 +276,25 @@ impl QueryShape {
                         if path.get_or_insert_with(|| pp.clone()) != pp {
                             return false;
                         }
+                        // `None < Some(_)`: `max` keeps the larger lower
+                        // bound; the upper one needs the explicit `min`.
+                        let at_most = |hi: Option<i64>| Some(hi.map_or(x, |h| h.min(x)));
                         match op {
-                            CmpOp::Gte => lo = Some(x),
-                            CmpOp::Lte => hi = Some(x),
+                            CmpOp::Gte => lo = lo.max(Some(x)),
+                            CmpOp::Lte => hi = at_most(hi),
                             CmpOp::Eq => {
-                                lo = Some(x);
-                                hi = Some(x);
+                                lo = lo.max(Some(x));
+                                hi = at_most(hi);
                             }
-                            _ => return false,
+                            CmpOp::Gt | CmpOp::Lt => return false,
                         }
                     }
                     let (Some(lo), Some(hi)) = (lo, hi) else {
                         return false;
                     };
-                    ivs.push((lo, hi));
+                    if lo <= hi {
+                        ivs.push((lo, hi));
+                    }
                 }
                 Filter::Cmp {
                     path: pp,
@@ -301,12 +324,14 @@ impl QueryShape {
                 _ => return false,
             }
         }
+        // `ivs` may be empty — every branch emptied by its own bounds:
+        // the `$or` admits nothing, and neither do zero scan ranges.
         match path {
-            Some(p) if !ivs.is_empty() => {
+            Some(p) => {
                 self.push_int_intervals(at, &p, ivs);
                 true
             }
-            _ => false,
+            None => false,
         }
     }
 
@@ -375,6 +400,29 @@ mod tests {
         ]);
         let s = QueryShape::analyze(&q);
         assert_eq!(s.int_intervals, Some(("h".into(), vec![(5, 9)])));
+    }
+
+    #[test]
+    fn repeated_bounds_in_an_or_branch_intersect() {
+        let branch = |parts| Filter::Or(vec![Filter::And(parts)]);
+        let q = branch(vec![
+            Filter::gte("h", 5i64),
+            Filter::gte("h", 3i64),
+            Filter::lte("h", 10i64),
+            Filter::lte("h", 12i64),
+        ]);
+        let s = QueryShape::analyze(&q);
+        assert_eq!(s.int_intervals, Some(("h".into(), vec![(5, 10)])));
+        // A branch its own bounds leave empty contributes no interval;
+        // an `$or` of only such branches admits nothing.
+        let empty = vec![Filter::gte("h", 7i64), Filter::eq("h", 5i64)];
+        let q = Filter::Or(vec![Filter::And(empty.clone()), Filter::eq("h", 9i64)]);
+        let s = QueryShape::analyze(&q);
+        assert_eq!(s.int_intervals, Some(("h".into(), vec![(9, 9)])));
+        let q = branch(empty);
+        let s = QueryShape::analyze(&q);
+        assert_eq!(s.int_intervals, Some(("h".into(), vec![])));
+        assert!(s.fully_captured);
     }
 
     #[test]

@@ -398,6 +398,58 @@ fn lossy_or_unabsorbed_conjuncts_are_never_dropped() {
     assert_eq!(on(&f), Filter::gte("date", 5i64));
 }
 
+/// Repeated bounds inside one `$or` branch intersect, as the filter's
+/// own `$and` does: the B+tree bounds are then the only check of the
+/// dropped `$or`, so absorbing it any looser returns wrong rows.
+#[test]
+fn repeated_bounds_in_an_or_branch_are_absorbed_exactly() {
+    let [_, _, (_, mut c)] = approach_collections();
+    for h in 0..20i64 {
+        let mut d = doc! { "hilbertIndex" => h, "date" => dt(h) };
+        d.ensure_id(h as u32);
+        c.insert(&d).unwrap();
+    }
+    let branch = |parts| Filter::Or(vec![Filter::And(parts)]);
+    let h = |op, x: i64| cmp("hilbertIndex", op, x);
+    let cells = |f: &Filter| -> Vec<i64> {
+        let (docs, _) = c.find(f);
+        assert_eq!(sorted_ids(&docs), sorted_ids(&c.find_collscan(f)), "{f:?}");
+        let mut cells: Vec<i64> = docs
+            .iter()
+            .map(|d| d.get("hilbertIndex").unwrap().as_i64().unwrap())
+            .collect();
+        cells.sort_unstable();
+        cells
+    };
+
+    // The looser bound comes last: last-one-wins would scan [3, 10].
+    let f = branch(vec![h(CmpOp::Gte, 5), h(CmpOp::Gte, 3), h(CmpOp::Lte, 10)]);
+    assert_eq!(
+        residual_on(&c, "hilbertIndex_1_date_1", &f),
+        Filter::And(vec![])
+    );
+    assert_eq!(cells(&f), (5..=10).collect::<Vec<_>>());
+    let f = branch(vec![h(CmpOp::Gte, 2), h(CmpOp::Lte, 6), h(CmpOp::Lte, 9)]);
+    assert_eq!(cells(&f), (2..=6).collect::<Vec<_>>());
+    let f = branch(vec![h(CmpOp::Gte, 4), h(CmpOp::Eq, 6), h(CmpOp::Lte, 9)]);
+    assert_eq!(cells(&f), vec![6]);
+
+    // `h >= 7 && h == 5` admits nothing; overwriting made it `h == 5`.
+    // A lone empty branch leaves no interval: the plan scans nothing.
+    let empty = vec![h(CmpOp::Gte, 7), h(CmpOp::Eq, 5)];
+    let f = branch(empty.clone());
+    let plan = Planner::default().choose(&c, &f);
+    assert!(!plan.is_fallback && plan.ranges.is_empty());
+    assert_eq!(cells(&f), Vec::<i64>::new());
+    // Beside a populated branch it contributes no scan range.
+    let f = Filter::Or(vec![Filter::And(empty), h(CmpOp::Eq, 9)]);
+    assert_eq!(
+        residual_on(&c, "hilbertIndex_1_date_1", &f),
+        Filter::And(vec![])
+    );
+    assert_eq!(cells(&f), vec![9]);
+}
+
 /// Small value domains, so stored values land exactly on bounds and
 /// in the gaps between neighbouring integers.
 const DATES: std::ops::Range<i64> = 0..12;
@@ -479,7 +531,7 @@ fn random_filter() -> impl Strategy<Value = Filter> {
             0u8..4,
         ),
         (date_bound(), date_bound(), 0u8..12),
-        prop::collection::vec((CELLS, 0i64..6), 1..4),
+        prop::collection::vec((CELLS, 0i64..6, 0u8..8), 1..4),
         prop::collection::vec(CELLS, 0..4),
         prop::collection::vec(extra_conjunct(), 0..3),
     )
@@ -514,10 +566,24 @@ fn random_filter() -> impl Strategy<Value = Filter> {
             if strictness != 4 {
                 clauses.push(cmp("date", hi_op, t_hi));
             }
-            let intervals: Vec<(i64, i64)> = ivs.iter().map(|&(lo, w)| (lo, lo + w)).collect();
-            let Filter::Or(mut branches) = hilbert_or(&intervals) else {
-                unreachable!("hilbert_or builds an $or");
-            };
+            // Half the branches are a plain `[lo, hi]`; the others
+            // repeat an operator — the looser bound last — or add an
+            // `$eq` that pins or empties the branch.
+            let mut branches: Vec<Filter> = ivs
+                .iter()
+                .map(|&(lo, w, repeat)| {
+                    let h = |op, x: i64| cmp("hilbertIndex", op, x);
+                    let mut parts = vec![h(CmpOp::Gte, lo), h(CmpOp::Lte, lo + w)];
+                    match repeat {
+                        4 => parts.insert(0, h(CmpOp::Gte, lo + 2)),
+                        5 => parts.push(h(CmpOp::Lte, lo + w + 3)),
+                        6 => parts.insert(1, h(CmpOp::Eq, lo + 1)),
+                        7 => parts.insert(0, h(CmpOp::Eq, lo - 1)),
+                        _ => {}
+                    }
+                    Filter::And(parts)
+                })
+                .collect();
             if !singles.is_empty() {
                 branches.push(Filter::In {
                     path: "hilbertIndex".into(),

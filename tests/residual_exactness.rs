@@ -139,6 +139,35 @@ fn filter_variants(store: &StStore, q: &StQuery) -> Vec<(&'static str, Filter)> 
             })
             .collect(),
     );
+    // Every interval branch of the curve `$or` gets a second, looser
+    // upper bound after its own: the branch is their intersection.
+    let repeated = Filter::And(
+        clauses
+            .iter()
+            .map(|c| match c {
+                Filter::Or(branches) => Filter::Or(
+                    branches
+                        .iter()
+                        .map(|b| match b {
+                            Filter::And(parts) => {
+                                let looser = parts.iter().filter_map(|p| match p {
+                                    Filter::Cmp {
+                                        path,
+                                        op: CmpOp::Lte,
+                                        value,
+                                    } => Some(Filter::lte(path, value.as_i64()? + 1_000)),
+                                    _ => None,
+                                });
+                                Filter::And(parts.iter().cloned().chain(looser).collect())
+                            }
+                            other => other.clone(),
+                        })
+                        .collect(),
+                ),
+                other => other.clone(),
+            })
+            .collect(),
+    );
     let tags = Filter::Or(vec![Filter::eq("tag", 0i64), Filter::eq("tag", 2i64)]);
     vec![
         ("as built", base.clone()),
@@ -147,6 +176,7 @@ fn filter_variants(store: &StStore, q: &StQuery) -> Vec<(&'static str, Filter)> 
         ("second $or", with(tags)),
         ("extra predicate", with(Filter::gte("tag", 1i64))),
         ("off-bracket bound", with(Filter::gte("date", 0i64))),
+        ("repeated bounds in a branch", repeated),
     ]
 }
 
