@@ -25,7 +25,7 @@
 //! With `--router` it instead runs the repeated-shape Zipf workload
 //! against the full router tier (plan + result caches, admission
 //! control): per (approach × curve) cell it reports cold/warm
-//! latency percentiles, hit ratio, executor steal counts and the
+//! latency percentiles, hit ratio, executor helper-task counts and the
 //! overload-drill shed counts as schema-versioned `sts-router/1`
 //! JSON, exiting non-zero when exactness, the ≥ 0.9 warm hit ratio or
 //! the ≥ 5× hil/hil* warm speedup gate fails.
@@ -483,7 +483,7 @@ struct RouterCell {
     result_cache_hits: u64,
     result_cache_misses: u64,
     executor_tasks: u64,
-    executor_steals: u64,
+    executor_helper_tasks: u64,
     /// Matching documents across the warm window (exactness anchor).
     results: u64,
     /// Every execution's result count matched the in-binary full scan.
@@ -525,7 +525,7 @@ fn run_router(cfg: &HarnessConfig, n_queries: usize, path: &str) -> i32 {
 
     let mut cells = Vec::new();
     println!(
-        "{:<8} {:<8} {:>10} {:>10} {:>10} {:>9} {:>8} {:>8} {:>9} {:>6}",
+        "{:<8} {:<8} {:>10} {:>10} {:>10} {:>9} {:>8} {:>12} {:>9} {:>6}",
         "approach",
         "curve",
         "cold50(us)",
@@ -533,7 +533,7 @@ fn run_router(cfg: &HarnessConfig, n_queries: usize, path: &str) -> i32 {
         "warm95(us)",
         "speedup",
         "hitrate",
-        "steals",
+        "helper_tasks",
         "results",
         "exact"
     );
@@ -672,12 +672,12 @@ fn run_router_cell(
         result_cache_hits: served,
         result_cache_misses: c1.misses - c0.misses,
         executor_tasks: exec.tasks,
-        executor_steals: exec.steals,
+        executor_helper_tasks: exec.helper_tasks,
         results,
         exact,
     };
     println!(
-        "{:<8} {:<8} {:>10.1} {:>10.1} {:>10.1} {:>8.1}x {:>8.3} {:>8} {:>9} {:>6}",
+        "{:<8} {:<8} {:>10.1} {:>10.1} {:>10.1} {:>8.1}x {:>8.3} {:>12} {:>9} {:>6}",
         cell.approach,
         cell.curve,
         cell.cold_p50_us,
@@ -685,7 +685,7 @@ fn run_router_cell(
         cell.warm_p95_us,
         cell.speedup_p50,
         cell.hit_ratio,
-        cell.executor_steals,
+        cell.executor_helper_tasks,
         cell.results,
         cell.exact
     );

@@ -5,7 +5,7 @@ use crate::executor::{ExecutorConfig, ExecutorStats, ShardExecutor};
 use crate::faults::{AttemptCtx, FailPoint, FaultInjector, FaultKind};
 use crate::health::{skew, BalancerEventKind, ClusterHealth, HealthSnapshot};
 use crate::report::{ClusterQueryReport, ShardExecution};
-use crate::retry::{run_with_recovery, RecoveryPolicy, ShardRecovery};
+use crate::retry::{run_with_recovery, RecoveryPolicy};
 use crate::shard::Shard;
 use crate::shardkey::{ShardKey, ShardStrategy};
 use crate::zones::{zones_from_boundaries, Zone};
@@ -37,8 +37,7 @@ pub struct ClusterConfig {
     pub fault_seed: u64,
     /// Live-balancer policy applied at every batch commit.
     pub balancer: LiveBalancerConfig,
-    /// Work-stealing shard-executor tunables (worker count, per-shard
-    /// queue depth).
+    /// Shard-executor tunables (threads per fan-out).
     pub executor: ExecutorConfig,
 }
 
@@ -148,7 +147,7 @@ pub struct Cluster {
     /// mutation that could change a result set — epoch-published
     /// batches and non-epoch writes alike.
     writes: AtomicU64,
-    /// The work-stealing shard executor behind every scatter/gather.
+    /// The shard executor (parked workers) behind every scatter/gather.
     executor: ShardExecutor,
     /// Metric sink for router/shard observables. Defaults to the
     /// process-wide registry; [`Cluster::set_metrics_registry`] rescopes
@@ -227,8 +226,8 @@ impl Cluster {
         }
         let faults = FaultInjector::new(config.fault_seed);
         let health = ClusterHealth::new(config.num_shards);
-        let executor = ShardExecutor::new(config.executor);
         Cluster {
+            executor: ShardExecutor::new(config.executor),
             config,
             shard_key,
             shard_key_index,
@@ -241,14 +240,8 @@ impl Cluster {
             epoch,
             routing_gen: AtomicU64::new(0),
             writes: AtomicU64::new(0),
-            executor,
             obs: sts_obs::global_handle(),
         }
-    }
-
-    /// The work-stealing executor's tunables.
-    pub fn executor_config(&self) -> ExecutorConfig {
-        self.executor.config()
     }
 
     /// Replace the executor tunables (takes effect on the next query).
@@ -257,8 +250,7 @@ impl Cluster {
         self.executor.set_config(config);
     }
 
-    /// Cumulative executor counters: tasks, steals, overflow spills,
-    /// inline fan-outs.
+    /// Cumulative executor counters: tasks, inline fan-outs, helper-run tasks.
     pub fn executor_stats(&self) -> ExecutorStats {
         self.executor.stats()
     }
@@ -908,7 +900,7 @@ impl Cluster {
     /// The unified scatter/gather: analyze the filter once — routing
     /// and every shard's planner read the same [`QueryShape`] — route
     /// (or replay a cached, generation-checked [`RoutePlan`]), fan out
-    /// on the work-stealing shard executor under the recovery policy
+    /// on the shard executor's parked workers under the recovery policy
     /// (failpoint draws, timeouts, backoff retries, hedged reads),
     /// gather in shard order. Abandoned shards contribute an incomplete
     /// [`ShardExecution`] and flip the report's `partial` flag instead
@@ -919,9 +911,6 @@ impl Cluster {
         opts: QueryExecOptions,
         run: impl Fn(usize, &QueryShape) -> (R, ExecutionStats) + Sync,
     ) -> (Vec<R>, ClusterQueryReport) {
-        /// One gathered row: shard id, its answer (`None` once the
-        /// recovery policy gave the shard up), and the recovery record.
-        type GatherRow<R> = (usize, Option<(R, ExecutionStats)>, ShardRecovery);
         let start = Instant::now();
         let shape = QueryShape::analyze(filter);
         let cached_route = opts
@@ -945,28 +934,15 @@ impl Cluster {
         let routing = start.elapsed();
         let query_id = self.faults.begin_query();
         let policy = opts.recovery.unwrap_or(self.config.recovery);
-        let mut results: Vec<GatherRow<R>> = self
-            .executor
-            .execute(
-                &self.obs,
-                targets,
-                |&sid| sid,
-                |&sid| {
-                    let (out, recovery) =
-                        run_with_recovery(&policy, &self.faults, query_id, sid, || {
-                            run(sid, &shape)
-                        });
-                    (sid, out, recovery)
-                },
-            )
-            .into_iter()
-            .map(|(_, row)| row)
-            .collect();
-        results.sort_by_key(|(sid, _, _)| *sid);
+        // One row per target, in target (= ascending shard) order: the
+        // answer (`None` once recovery gave the shard up) and what it took.
+        let (results, dispatch) = self.executor.execute(&self.obs, targets, |&sid| {
+            run_with_recovery(&policy, &self.faults, query_id, sid, || run(sid, &shape))
+        });
         let mut payloads = Vec::with_capacity(results.len());
         let mut per_shard = Vec::with_capacity(results.len());
         let mut partial = false;
-        for (sid, out, recovery) in results {
+        for (&sid, (out, recovery)) in targets.iter().zip(results) {
             let stats = match out {
                 Some((payload, stats)) => {
                     payloads.push(payload);
@@ -993,6 +969,7 @@ impl Cluster {
             wall: start.elapsed(),
             routing,
             merge: Duration::ZERO,
+            dispatch,
         };
         self.health.record_query(&report);
         self.health.record_chunk_access(

@@ -153,7 +153,11 @@ impl ClusterHealth {
     pub(crate) fn record_chunk_access<'a>(&self, mins: impl IntoIterator<Item = &'a [u8]>) {
         let mut heat = self.chunk_heat.lock().unwrap();
         for min in mins {
-            *heat.entry(min.to_vec()).or_insert(0) += 1;
+            // Allocate the key only the first time a chunk is seen.
+            match heat.get_mut(min) {
+                Some(count) => *count += 1,
+                None => drop(heat.insert(min.to_vec(), 1)),
+            }
         }
     }
 
@@ -366,6 +370,17 @@ mod tests {
         let mild = skew(&[40, 30, 20, 10]).gini;
         let harsh = skew(&[70, 20, 5, 5]).gini;
         assert!(even < mild && mild < harsh);
+    }
+
+    #[test]
+    fn chunk_heat_keeps_one_ledger_entry_per_chunk() {
+        let health = ClusterHealth::new(2);
+        let mins: [&[u8]; 3] = [b"", b"m", b"t"];
+        for i in 0..1000 {
+            health.record_chunk_access(mins[..1 + i % 3].iter().copied());
+        }
+        let want = [(vec![], 1000), (b"m".to_vec(), 666), (b"t".to_vec(), 333)];
+        assert_eq!(*health.chunk_heat.lock().unwrap(), BTreeMap::from(want));
     }
 
     #[test]

@@ -76,7 +76,7 @@ pub use health::{
     skew, BalancerEvent, BalancerEventKind, ChunkHeatSnapshot, HealthSnapshot, ShardLoadSnapshot,
     Skew,
 };
-pub use report::{ClusterQueryReport, ShardExecution};
+pub use report::{ClusterQueryReport, Dispatch, ShardExecution};
 pub use retry::{run_with_recovery, RecoveryPolicy, ShardRecovery};
 pub use shard::Shard;
 pub use shardkey::{ShardKey, ShardStrategy};

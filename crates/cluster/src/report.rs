@@ -53,6 +53,15 @@ impl ShardExecution {
     }
 }
 
+/// How the shard executor dispatched one fan-out (`Copy`: cache hits clone reports).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Dispatch {
+    /// Helpers handed the job; `0` = the caller ran every task itself.
+    pub helpers_woken: u8,
+    /// Tasks that ran on a helper instead of the caller's thread.
+    pub helper_tasks: u16,
+}
+
 /// The merged result of routing one query through `mongos`.
 #[derive(Debug, Clone, Default)]
 pub struct ClusterQueryReport {
@@ -71,6 +80,8 @@ pub struct ClusterQueryReport {
     /// Router-side merge stage: gathering, flattening, shaping and/or
     /// partial-aggregation merging after the shards answered.
     pub merge: Duration,
+    /// How the shard executor dispatched the fan-out.
+    pub dispatch: Dispatch,
 }
 
 impl ClusterQueryReport {

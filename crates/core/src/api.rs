@@ -166,7 +166,7 @@ impl StStore {
             .unwrap_or_default()
     }
 
-    /// Work-stealing shard-executor counters.
+    /// Shard-executor counters: tasks, inline fan-outs, helper-run tasks.
     pub fn executor_stats(&self) -> ExecutorStats {
         self.cluster.executor_stats()
     }

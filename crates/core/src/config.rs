@@ -45,8 +45,8 @@ pub struct StoreConfig {
     pub fault_seed: u64,
     /// Live-balancer policy applied at every ingest-batch commit.
     pub balancer: LiveBalancerConfig,
-    /// Router tier: plan/result caching, the work-stealing shard
-    /// executor, and admission control.
+    /// Router tier: plan/result caching, the shard executor, and
+    /// admission control.
     pub router: RouterConfig,
 }
 

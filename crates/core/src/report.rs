@@ -65,6 +65,7 @@ impl QueryReport {
             .iter()
             .map(|s| Value::Document(shard_explain(s)))
             .collect();
+        let dispatch = self.cluster.dispatch;
         let mut d = doc! {
             "nReturned" => self.cluster.n_returned() as i64,
             "executionTimeMicros" => micros(self.cluster.wall),
@@ -77,6 +78,11 @@ impl QueryReport {
                 "ranges" => self.hilbert_ranges as i64,
             },
             "routingMicros" => micros(self.cluster.routing),
+            "executor" => doc! {
+                "mode" => if dispatch.helpers_woken == 0 { "inline" } else { "pool" },
+                "helpersWoken" => i64::from(dispatch.helpers_woken),
+                "helperTasks" => i64::from(dispatch.helper_tasks),
+            },
             "mergeMicros" => micros(self.cluster.merge),
             "router" => doc! {
                 "planCache" => self.router.plan_cache.name(),

@@ -65,7 +65,7 @@ pub struct RouterConfig {
     pub quant_time_ms: i64,
     /// Admission control and load shedding.
     pub admission: AdmissionConfig,
-    /// Work-stealing shard-executor tunables, passed to the cluster.
+    /// Shard-executor tunables (parked workers), passed to the cluster.
     pub executor: ExecutorConfig,
 }
 
@@ -632,6 +632,7 @@ impl ResultEntry {
         r.wall = wall;
         r.routing = Duration::ZERO;
         r.merge = Duration::ZERO;
+        r.dispatch = Default::default();
         r
     }
 }

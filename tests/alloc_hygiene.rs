@@ -60,11 +60,14 @@ fn warmed_up_executor_hot_path_allocates_nothing() {
     // Sanity: the counting allocator really is installed — building the
     // store must move the thread-local counter.
     let before = sts::obs::alloc::thread_allocations();
-    let store = corpus_store(Approach::Hil);
+    let mut store = corpus_store(Approach::Hil);
     assert!(
         sts::obs::alloc::thread_allocations() > before,
         "CountingAllocator not installed: store build reported no allocations"
     );
+    // Its own registry: the skip-scan test below runs beside this one
+    // and would otherwise warm up into the same global counter.
+    store.set_metrics_registry(std::sync::Arc::new(sts::obs::Registry::new()));
 
     let q = query();
     // Warm-up: grows every scratch buffer (covering tree, seek keys,

@@ -7,7 +7,9 @@
 //! * `broadcast` exactly when the filter carries no shard-key
 //!   constraint,
 //! * all retry/hedge/timeout counters stay zero while no failpoint is
-//!   armed.
+//!   armed,
+//! * the executor dispatch: a single-shard query runs inline, and
+//!   helpers never run more than `nodes − 1` of a fan-out's tasks.
 
 mod support;
 
@@ -180,4 +182,39 @@ fn hil_star_explain_reports_the_geo_within_alone_as_residual() {
         }
     }
     assert!(shards_seen > 0, "no shard was ever targeted");
+}
+
+/// `st_explain()` shows how the shard executor dispatched the fan-out.
+/// The caller always takes a task itself, so helpers run at most
+/// `nodes − 1`; one shard never leaves the caller's thread.
+#[test]
+fn explain_reports_the_executor_dispatch() {
+    use sts::document::Value;
+    let docs = corpus();
+    let mut single_shard = 0;
+    for approach in Approach::ALL {
+        let store = store_for(approach, &docs, R_MBR, NUM_SHARDS);
+        for q in workload() {
+            let explain = store.st_explain(&q);
+            let nodes = explain.get("nodes").and_then(Value::as_i64).unwrap();
+            let Some(Value::Document(exec)) = explain.get("executor") else {
+                panic!("explain lacks executor: {explain:?}");
+            };
+            let mode = exec.get("mode").and_then(Value::as_str).unwrap();
+            let woken = exec.get("helpersWoken").and_then(Value::as_i64).unwrap();
+            let helper_tasks = exec.get("helperTasks").and_then(Value::as_i64).unwrap();
+            assert_eq!(mode, if woken == 0 { "inline" } else { "pool" });
+            assert!(
+                woken <= (nodes - 1).max(0),
+                "{approach}: {woken} of {nodes}"
+            );
+            assert!(helper_tasks <= (nodes - 1).max(0), "{approach}");
+            assert!(woken > 0 || helper_tasks == 0, "{approach}");
+            if nodes == 1 {
+                assert_eq!((mode, woken, helper_tasks), ("inline", 0, 0), "{approach}");
+                single_shard += 1;
+            }
+        }
+    }
+    assert!(single_shard > 0, "no query ever targeted a single shard");
 }
