@@ -311,8 +311,8 @@ pub fn save_json_to(path: &std::path::Path, value: &impl Serialize) -> std::io::
     std::fs::write(path, json + "\n")
 }
 
-/// Today's civil date as `YYYY-MM-DD` (UTC), for `BENCH_<date>.json`
-/// file names. Uses Howard Hinnant's days-to-civil algorithm — no
+/// Today's civil date as `YYYY-MM-DD` (UTC), the timeline bundle's
+/// `generatedAt`. Uses Howard Hinnant's days-to-civil algorithm — no
 /// calendar crate in the offline toolchain.
 pub fn utc_date_string() -> String {
     let secs = std::time::SystemTime::now()
@@ -356,8 +356,7 @@ fn splitmix64_stream(seed: u64) -> impl FnMut() -> u64 {
 
 /// City-sized rectangles around the R set's urban hotspots with
 /// week-long windows — a plausible concurrent dispatcher workload.
-/// Deterministic in `seed` (SplitMix64), shared by the `throughput`
-/// and `perfsmoke` binaries.
+/// Deterministic in `seed` (SplitMix64); `obs-report`'s default batch.
 pub fn small_query_batch(n: usize, seed: u64) -> Vec<StQuery> {
     let mut next = splitmix64_stream(seed);
     (0..n)
@@ -399,31 +398,6 @@ pub fn clustered_query_batch(n: usize, seed: u64) -> Vec<StQuery> {
                 t0,
                 t1,
             }
-        })
-        .collect()
-}
-
-/// A Zipf(s=1) draw sequence over `k` distinct shapes: rank `r`
-/// (0-based) is drawn with probability ∝ 1/(r+1), so a handful of hot
-/// shapes dominate — the repeated-shape regime a result cache exists
-/// for. Deterministic in `seed` (SplitMix64), shared by
-/// `perfsmoke --router`.
-pub fn zipf_sequence(n: usize, k: usize, seed: u64) -> Vec<usize> {
-    assert!(k > 0, "need at least one shape");
-    let weights: Vec<f64> = (0..k).map(|r| 1.0 / (r + 1) as f64).collect();
-    let total: f64 = weights.iter().sum();
-    let mut next = splitmix64_stream(seed ^ 0x21F0_CAFE);
-    (0..n)
-        .map(|_| {
-            // 53 uniform bits → [0, total).
-            let mut u = (next() >> 11) as f64 / (1u64 << 53) as f64 * total;
-            for (i, w) in weights.iter().enumerate() {
-                if u < *w {
-                    return i;
-                }
-                u -= w;
-            }
-            k - 1
         })
         .collect()
 }
@@ -507,19 +481,6 @@ mod tests {
         let c = small_query_batch(16, 43);
         assert_ne!(a, c, "seed changes the batch");
         assert!(a.iter().all(|q| q.t1 > q.t0));
-    }
-
-    #[test]
-    fn zipf_sequence_is_skewed_and_deterministic() {
-        let a = zipf_sequence(4096, 32, 7);
-        assert_eq!(a, zipf_sequence(4096, 32, 7));
-        assert!(a.iter().all(|&i| i < 32));
-        // Rank 0 carries weight 1/H(32) ≈ 0.25 of the mass; rank 31
-        // carries ~1/32 of that. The skew must actually show up.
-        let hot = a.iter().filter(|&&i| i == 0).count();
-        let cold = a.iter().filter(|&&i| i == 31).count();
-        assert!(hot > 6 * cold.max(1), "hot {hot} vs cold {cold}");
-        assert_ne!(a, zipf_sequence(4096, 32, 8), "seed changes the draw");
     }
 
     #[test]

@@ -437,9 +437,9 @@ mod tests {
         }
     }
 
-    /// Satellite: per-store registries keep approach metrics isolated —
-    /// running a workload on one store must not move another store's
-    /// counters or histograms (the perfsmoke metric-bleed fix).
+    /// Per-store registries keep approach metrics isolated — running a
+    /// workload on one store must not move another store's counters or
+    /// histograms.
     #[test]
     fn metrics_registries_do_not_bleed_across_stores() {
         let cfg = HarnessConfig {

@@ -1,6 +1,6 @@
 //! Live-ingest telemetry-timeline collection for `obs-report --timeline`.
 //!
-//! Runs an `ingestsmoke`-style live workload per approach — batched
+//! Runs a live workload per approach — batched
 //! `insert_batch` ingest with the online balancer enabled, interleaved
 //! with dispatcher queries — with the store's telemetry timeline armed:
 //! windowed metric deltas ride the virtual clock, balancer

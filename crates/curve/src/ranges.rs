@@ -34,16 +34,17 @@ impl RangeBudget {
 }
 
 impl Default for RangeBudget {
-    /// 64 ranges. Measured on the perfsmoke workload (scale 0.002, 120
-    /// queries, seed `0x51372021`; `perfsmoke --ablation-json`):
+    /// 64 ranges. Measured at commit 787593e by the since-deleted
+    /// `perfsmoke --ablation-json` (R set at scale 0.002, 120 city-sized
+    /// queries, seed `0x51372021`):
     ///
-    /// * **hil** (order-13 curve): coverings are naturally small (~2.4
-    ///   ranges/query, 287 total) — budgets 16/32/64/128 produce the
+    /// * **hil** (order-13 curve): coverings are naturally small (~2.5
+    ///   ranges/query, 305 total) — budgets 16/32/64/128 produce the
     ///   identical covering, so the budget never binds.
     /// * **hil\*** (finer curve): the budget binds hard. Total covering
-    ///   ranges grow 1 898 → 3 566 → 5 365 → 5 895 across budgets
-    ///   16/32/64/128, while `total_keys_examined` grows 55 251 →
-    ///   57 504 → 61 750 → 63 595: each extra range costs a descent
+    ///   ranges grow 1 920 → 3 687 → 5 641 → 6 120 across budgets
+    ///   16/32/64/128, while `total_keys_examined` grows 63 599 →
+    ///   65 754 → 70 540 → 72 278: each extra range costs a descent
     ///   plus a terminator probe, and the skip-scan's time-dimension
     ///   jumps already skip most of the false positives a bridged gap
     ///   admits. Result counts are identical at every budget.
@@ -51,7 +52,10 @@ impl Default for RangeBudget {
     /// 64 keeps coverings tight enough for `$or`-clause routing (§4.2.2
     /// builds one filter clause per range) while staying within a few
     /// percent of the best-measured latency; lowering it is a
-    /// reasonable tuning knob for very fine curves.
+    /// reasonable tuning knob for very fine curves. The counter half of
+    /// this ablation — hil\* ranges non-decreasing across budgets
+    /// 16/32/64/128 with identical results — is asserted by
+    /// `tests/covering_budget.rs::hil_star_covering_ranges_grow_with_the_budget`.
     fn default() -> Self {
         RangeBudget { max_ranges: 64 }
     }

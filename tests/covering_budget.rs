@@ -130,9 +130,10 @@ fn every_budget_matches_the_unlimited_covering_and_the_oracle() {
     }
 }
 
-/// Live-store budget swaps (`set_range_budget`, the perfsmoke ablation
-/// mechanism) preserve results too — tightening or loosening the budget
-/// on a loaded store never changes what a query returns.
+/// Live-store budget swaps (`set_range_budget`, the mechanism the
+/// budget ablation below uses) preserve results too — tightening or
+/// loosening the budget on a loaded store never changes what a query
+/// returns.
 #[test]
 fn set_range_budget_preserves_results_on_a_live_store() {
     let docs = corpus(600, 0x000D_ECAF);
@@ -149,4 +150,34 @@ fn set_range_budget_preserves_results_on_a_live_store() {
         let (udocs, _) = store.st_query(q);
         assert_eq!(result_id_set(&udocs), baseline, "UNLIMITED");
     }
+}
+
+/// The counter half of the range-budget ablation: on a `hil*` store a
+/// looser budget never yields fewer covering ranges over the query set
+/// (16 → 128 must actually bind, or the sweep proves nothing), and the
+/// results are the oracle's at every budget.
+#[test]
+fn hil_star_covering_ranges_grow_with_the_budget() {
+    let docs = corpus(900, 0x5137_2021);
+    let oracle = Oracle::new(docs.clone());
+    let mut store = budgeted_store(Approach::HilStar, &docs, RangeBudget::default());
+    let mut totals = Vec::new();
+    for max_ranges in [16usize, 32, 64, 128] {
+        store.set_range_budget(RangeBudget::new(max_ranges));
+        let mut ranges = 0;
+        for q in &queries() {
+            let (bdocs, report) = store.st_query(q);
+            assert_eq!(
+                result_id_set(&bdocs),
+                oracle.id_set(q),
+                "budget {max_ranges}"
+            );
+            ranges += report.hilbert_ranges;
+        }
+        totals.push(ranges);
+    }
+    assert!(
+        totals.windows(2).all(|w| w[0] <= w[1]) && totals[0] < totals[3],
+        "covering ranges across budgets 16/32/64/128: {totals:?}"
+    );
 }
