@@ -103,15 +103,44 @@ impl ChunkMap {
 
     /// Indices of chunks intersecting `[lo, hi)` (`hi == None` → +∞).
     pub fn overlapping(&self, lo: &[u8], hi: Option<&[u8]>) -> std::ops::Range<usize> {
-        let start = self.route(lo);
+        self.overlapping_from(0, lo, hi)
+    }
+
+    /// [`overlapping`](Self::overlapping) for a caller walking ranges in
+    /// ascending order: the search starts at chunk `from`, which must
+    /// not lie past the chunk containing `lo`, and gallops forward.
+    pub(crate) fn overlapping_from(
+        &self,
+        from: usize,
+        lo: &[u8],
+        hi: Option<&[u8]>,
+    ) -> std::ops::Range<usize> {
+        // Last chunk whose min <= lo.
+        let start = self.gallop(from, |c| c.min.as_slice() <= lo) - 1;
         let end = match hi {
             None => self.chunks.len(),
-            Some(h) => {
-                // First chunk whose min >= h is fully beyond the range.
-                self.chunks.partition_point(|c| c.min.as_slice() < h)
-            }
+            // First chunk whose min >= h is fully beyond the range.
+            Some(h) => self.gallop(start, |c| c.min.as_slice() < h),
         };
         start..end.max(start + 1)
+    }
+
+    /// The first index at or after `from` whose chunk fails `below`, a
+    /// predicate that holds on a prefix of the map including every
+    /// chunk before `from`: probes at doubling distances, then a binary
+    /// search between the last two, so a hop of one chunk costs two
+    /// compares.
+    fn gallop(&self, from: usize, below: impl Fn(&Chunk) -> bool) -> usize {
+        let len = self.chunks.len();
+        let mut bound = 1;
+        while from + bound <= len && below(&self.chunks[from + bound - 1]) {
+            bound *= 2;
+        }
+        // Every chunk before `from + bound / 2` holds, and the answer
+        // lies at or before `from + bound - 1`.
+        let lo = from + bound / 2;
+        let hi = (from + bound - 1).min(len);
+        lo + self.chunks[lo..hi].partition_point(below)
     }
 
     /// Split the chunk at `idx` at `split_key`. The key must fall
@@ -222,6 +251,33 @@ mod tests {
         assert_eq!(m.overlapping(&[], None), 0..3);
         // Range falling inside one chunk still yields that chunk.
         assert_eq!(m.overlapping(&k(120), Some(&k(130))), 2..3);
+    }
+
+    #[test]
+    fn overlapping_from_any_start_up_to_the_containing_chunk() {
+        let mut m = ChunkMap::new_single(0);
+        let bounds: Vec<_> = (1..=20).map(|b| k(b * 10)).collect();
+        m.split_at_boundaries(&bounds);
+        for lo in 0..=215u8 {
+            for hi in [
+                lo.saturating_sub(5),
+                lo,
+                lo.saturating_add(7),
+                lo.saturating_add(60),
+            ] {
+                let (lo, hi) = (k(lo), k(hi));
+                // The definition: binary searches over the whole map.
+                let start = m.chunks.partition_point(|c| c.min <= lo) - 1;
+                let end = m.chunks.partition_point(|c| c.min < hi);
+                for from in 0..=start {
+                    assert_eq!(
+                        m.overlapping_from(from, &lo, Some(&hi)),
+                        start..end.max(start + 1)
+                    );
+                    assert_eq!(m.overlapping_from(from, &lo, None), start..m.len());
+                }
+            }
+        }
     }
 
     #[test]

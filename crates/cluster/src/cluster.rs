@@ -9,7 +9,6 @@ use crate::retry::{run_with_recovery, RecoveryPolicy};
 use crate::shard::Shard;
 use crate::shardkey::{ShardKey, ShardStrategy};
 use crate::zones::{zones_from_boundaries, Zone};
-use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -828,57 +827,66 @@ impl Cluster {
     /// a broadcast — the router consults the whole table).
     fn route(&self, shape: &QueryShape) -> (Vec<usize>, bool, Vec<usize>) {
         let lead = &self.shard_key.fields[0];
-        let intervals: Option<Vec<KeyInterval>> = match self.shard_key.strategy {
-            ShardStrategy::Hashed => None, // ranges cannot target hashed keys
-            ShardStrategy::Range => {
-                if let Some((path, ivs)) = &shape.int_intervals {
-                    (path == lead).then(|| {
-                        ivs.iter()
-                            .map(|&(lo, hi)| {
-                                (
-                                    sts_encoding::encode_value(&Value::Int64(lo)),
-                                    Some(upper_bytes(&Value::Int64(hi))),
-                                )
-                            })
-                            .collect()
-                    })
-                } else if let Some(iv) = shape.range_for(lead) {
-                    iv.is_constrained().then(|| {
-                        let lo = iv
-                            .lo
-                            .as_ref()
-                            .map(sts_encoding::encode_value)
-                            .unwrap_or_default();
-                        let hi = iv.hi.as_ref().map(upper_bytes);
-                        vec![(lo, hi)]
-                    })
-                } else {
-                    None
-                }
+        let chunks = self.chunks.chunks();
+        let mut hit = vec![false; self.config.num_shards];
+        let mut touched: Vec<usize> = Vec::new();
+        let mut visit = |range: std::ops::Range<usize>| {
+            // Ranges arrive in ascending order and may share their edge
+            // chunk with the previous one.
+            let first = touched
+                .last()
+                .map_or(range.start, |&l| range.start.max(l + 1));
+            for idx in first..range.end {
+                hit[chunks[idx].shard] = true;
+                touched.push(idx);
             }
         };
-        match intervals {
-            None => (
-                (0..self.config.num_shards).collect(),
-                true,
-                (0..self.chunks.chunks().len()).collect(),
-            ),
-            Some(ivs) => {
-                let mut shards = BTreeSet::new();
-                let mut touched = BTreeSet::new();
-                for (lo, hi) in ivs {
-                    for idx in self.chunks.overlapping(&lo, hi.as_deref()) {
-                        shards.insert(self.chunks.chunks()[idx].shard);
-                        touched.insert(idx);
-                    }
+        match (self.shard_key.strategy, &shape.int_intervals) {
+            // Ranges cannot target hashed keys.
+            (ShardStrategy::Hashed, _) => return self.broadcast_route(),
+            (ShardStrategy::Range, Some((path, ivs))) => {
+                if path != lead {
+                    return self.broadcast_route();
                 }
-                (
-                    shards.into_iter().collect(),
-                    false,
-                    touched.into_iter().collect(),
-                )
+                // `ivs` is sorted and disjoint, so each interval's chunk
+                // search starts where the previous one's did.
+                let (mut lo_key, mut hi_key) = (Vec::new(), Vec::new());
+                let mut from = 0;
+                for &(lo, hi) in ivs {
+                    lo_key.clear();
+                    sts_encoding::encode_value_into(&Value::Int64(lo), &mut lo_key);
+                    hi_key.clear();
+                    sts_encoding::encode_value_into(&Value::Int64(hi), &mut hi_key);
+                    hi_key.push(0xFF); // as `upper_bytes`
+                    let range = self.chunks.overlapping_from(from, &lo_key, Some(&hi_key));
+                    from = range.start;
+                    visit(range);
+                }
             }
+            (ShardStrategy::Range, None) => match shape.range_for(lead) {
+                Some(iv) if iv.is_constrained() => {
+                    let lo = iv
+                        .lo
+                        .as_ref()
+                        .map(sts_encoding::encode_value)
+                        .unwrap_or_default();
+                    let hi = iv.hi.as_ref().map(upper_bytes);
+                    visit(self.chunks.overlapping(&lo, hi.as_deref()));
+                }
+                _ => return self.broadcast_route(),
+            },
         }
+        let targets = (0..hit.len()).filter(|&s| hit[s]).collect();
+        (targets, false, touched)
+    }
+
+    /// Every shard, and every chunk of the routing table.
+    fn broadcast_route(&self) -> (Vec<usize>, bool, Vec<usize>) {
+        (
+            (0..self.config.num_shards).collect(),
+            true,
+            (0..self.chunks.chunks().len()).collect(),
+        )
     }
 
     /// Compute (and stamp) a reusable routing decision for `filter` —
@@ -1140,9 +1148,6 @@ impl Cluster {
         self.shards.iter().map(Shard::len).collect()
     }
 }
-
-/// A `[lo, hi)` interval in shard-key byte space (`None` = +∞).
-type KeyInterval = (Vec<u8>, Option<Vec<u8>>);
 
 /// Record router-level observables for one scatter/gather into the
 /// cluster's metrics registry: routing latency, per-query fan-out and

@@ -2,8 +2,9 @@
 
 use crate::curve::{Curve, CurveFamily};
 use crate::hilbert;
-use crate::ranges::{decompose_blocks, RangeBudget};
+use crate::ranges::{decompose_blocks_into, RangeBudget};
 use crate::zorder;
+use crate::CoveringScratch;
 use sts_geo::{GeoPoint, GeoRect, WORLD};
 
 /// Shared constructor validation for uniform-grid curves.
@@ -75,7 +76,7 @@ pub(crate) fn cell_span_uniform(
 pub enum CurveKind {
     /// Hilbert curve — the paper's choice (§4.2).
     Hilbert,
-    /// Z-order (Morton) — ablation baseline.
+    /// Z-order (Morton) — the comparison baseline.
     ZOrder,
 }
 
@@ -190,10 +191,9 @@ impl CurveGrid {
     /// with their nearest neighbours (introducing false-positive cells
     /// that document-level refinement later discards).
     pub fn decompose_rect(&self, rect: &GeoRect, budget: RangeBudget) -> Vec<(u64, u64)> {
-        let Some((x0, x1, y0, y1)) = self.cell_span(rect) else {
-            return Vec::new();
-        };
-        decompose_blocks(self, x0, x1, y0, y1, budget)
+        let mut out = Vec::new();
+        self.decompose_rect_into(rect, budget, &mut CoveringScratch::new(), &mut out);
+        out
     }
 
     /// Like [`decompose_rect`](Self::decompose_rect), but appends the
@@ -203,13 +203,12 @@ impl CurveGrid {
         &self,
         rect: &GeoRect,
         budget: RangeBudget,
-        scratch: &mut crate::CoveringScratch,
+        scratch: &mut CoveringScratch,
         out: &mut Vec<(u64, u64)>,
     ) {
-        let Some((x0, x1, y0, y1)) = self.cell_span(rect) else {
-            return;
-        };
-        crate::ranges::decompose_blocks_into(self, x0, x1, y0, y1, budget, scratch, out);
+        if let Some(span) = self.cell_span(rect) {
+            decompose_blocks_into(self.order, self.kind, span, budget, scratch, out);
+        }
     }
 }
 
@@ -253,12 +252,12 @@ impl Curve for CurveGrid {
 
     fn decompose_cells_into(
         &self,
-        (x0, x1, y0, y1): (u64, u64, u64, u64),
+        span: (u64, u64, u64, u64),
         budget: RangeBudget,
-        scratch: &mut crate::CoveringScratch,
+        scratch: &mut CoveringScratch,
         out: &mut Vec<(u64, u64)>,
     ) {
-        crate::ranges::decompose_blocks_into(self, x0, x1, y0, y1, budget, scratch, out);
+        decompose_blocks_into(self.order, self.kind, span, budget, scratch, out);
     }
 }
 

@@ -9,7 +9,8 @@
 //!   query-rectangle decomposition) every family implements, selected
 //!   via [`CurveFamily`];
 //! * [`hilbert`] — the 2D Hilbert curve (`xy2d`/`d2xy`), any order ≤ 31;
-//! * [`zorder`] — Z-order (bit interleaving) for ablation comparisons;
+//! * [`zorder`] — Z-order (bit interleaving), the curve Hilbert is
+//!   compared against;
 //! * [`onion`] — the Onion curve (Xu et al., arXiv:1801.07399):
 //!   concentric rings with near-optimal clustering at the domain edge;
 //! * [`skewgh`] — the entropy-maximizing skew-adaptive GeoHash (after
@@ -20,7 +21,8 @@
 //! * [`CurveGrid::decompose_rect`] — the query-side algorithm of Table 8:
 //!   turn a query rectangle into sorted, merged 1D index ranges;
 //! * [`locality`] — clustering metrics in the spirit of Moon et al. (ref. \[14\] of the paper),
-//!   used by the ablation benches to show *why* Hilbert beats Z-order.
+//!   whose tests and the `curve_explorer` example show *why* Hilbert
+//!   beats Z-order.
 //!
 //! # Example
 //!

@@ -2,8 +2,9 @@
 //!
 //! Moon, Jagadish, Faloutsos & Saltz (ref. \[14\] of the paper) analyse the Hilbert curve's
 //! clustering: the expected number of contiguous curve segments
-//! ("clusters") needed to cover a query region. These metrics let the
-//! ablation benches quantify the paper's curve choice empirically.
+//! ("clusters") needed to cover a query region. These metrics quantify
+//! the paper's curve choice empirically (the tests below, and the
+//! `curve_explorer` example).
 
 use crate::grid::CurveGrid;
 use crate::ranges::RangeBudget;

@@ -1,14 +1,18 @@
 //! Query-rectangle → 1D range decomposition.
 //!
-//! Both supported curves keep every *aligned* `2^k × 2^k` quadtree block
-//! contiguous in index space. Decomposition therefore recurses over
-//! aligned blocks: blocks fully inside the query emit their whole index
-//! range at once, partial blocks split into four children, and single
-//! cells bottom out. The result is the exact set of index intervals the
-//! query touches — what §4.2.1 encodes into `$or`/`$in` constraints and
-//! what Table 8 times.
+//! Both quadtree curves (Hilbert, Z-order) keep every *aligned*
+//! `2^k × 2^k` block contiguous in index space, and a block's four
+//! children are the four consecutive quarters of its range. The covering
+//! therefore descends the quadtree visiting each node's children in
+//! curve order and carrying each child's first index down: blocks fully
+//! inside the query emit their whole index range at once, partial blocks
+//! descend, disjoint ones are skipped. Ranges come out sorted, so
+//! adjacent ones merge as they are pushed — no block list, no sort, no
+//! per-block cell → index map. The result is the exact set of index
+//! intervals the query touches — what §4.2.1 encodes into `$or`/`$in`
+//! constraints and what Table 8 times.
 
-use crate::grid::CurveGrid;
+use crate::grid::CurveKind;
 
 /// Bounds the number of ranges a decomposition may return.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -63,11 +67,12 @@ impl Default for RangeBudget {
 
 /// Reusable working state for range decomposition.
 ///
-/// The covering pipeline needs a block list (raw index intervals in
-/// visit order, sorted and merged once at the end) and a gap buffer
-/// (budget coalescing). Both retain their capacity across queries, so a
-/// store that threads one scratch through its queries builds coverings
-/// without steady-state heap allocation.
+/// Every covering coalesces to its budget through the gap buffer. The
+/// block list serves Onion only: its ring walk emits clipped edges out
+/// of index order, so they are collected, sorted and merged once at the
+/// end. Both retain their capacity across queries, so a store that
+/// threads one scratch through its queries builds coverings without
+/// steady-state heap allocation.
 #[derive(Default)]
 pub struct CoveringScratch {
     pub(crate) blocks: Vec<(u64, u64)>,
@@ -81,90 +86,94 @@ impl CoveringScratch {
     }
 }
 
-/// Decompose the aligned-block cover of `[x0..=x1] × [y0..=y1]`.
-pub(crate) fn decompose_blocks(
-    grid: &CurveGrid,
-    x0: u64,
-    x1: u64,
-    y0: u64,
-    y1: u64,
-    budget: RangeBudget,
-) -> Vec<(u64, u64)> {
-    let mut out = Vec::new();
-    decompose_blocks_into(
-        grid,
-        x0,
-        x1,
-        y0,
-        y1,
-        budget,
-        &mut CoveringScratch::new(),
-        &mut out,
-    );
-    out
-}
+/// Child `(rx, ry)` bits by rank along a Hilbert node, before the
+/// node's orientation is applied: the order-1 curve's `U`.
+const HILBERT_RANKS: [(u64, u64); 4] = [(0, 0), (0, 1), (1, 1), (1, 0)];
 
-/// Like [`decompose_blocks`], but appends to `out` and reuses `scratch`.
-#[allow(clippy::too_many_arguments)]
+/// Child `(rx, ry)` bits by rank along a Z-order node: x is each rank's
+/// low bit, and the `N` never turns.
+const ZORDER_RANKS: [(u64, u64); 4] = [(0, 0), (1, 0), (0, 1), (1, 1)];
+
+/// Decompose the aligned-block cover of `[x0..=x1] × [y0..=y1]` on the
+/// `2^order` grid whose cells `kind` orders: append its sorted, merged
+/// ranges to `out` (never merging into what `out` already held) and
+/// coalesce them to `budget`. Block contiguity depends on the topology
+/// alone, so SkewGeoHash's fitted grid passes [`CurveKind::ZOrder`].
 pub(crate) fn decompose_blocks_into(
-    grid: &CurveGrid,
-    x0: u64,
-    x1: u64,
-    y0: u64,
-    y1: u64,
-    budget: RangeBudget,
-    scratch: &mut CoveringScratch,
-    out: &mut Vec<(u64, u64)>,
-) {
-    decompose_blocks_generic_into(
-        grid.order(),
-        &|x, y| grid.index_of_cell(x, y),
-        x0,
-        x1,
-        y0,
-        y1,
-        budget,
-        scratch,
-        out,
-    );
-}
-
-/// Aligned-block decomposition for any curve whose aligned `2^k × 2^k`
-/// quadtree blocks are contiguous in index space (Hilbert, Z-order and
-/// every Z-order-topology variant regardless of cell geometry).
-/// `index_of_cell` is the curve's cell → index map.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn decompose_blocks_generic_into<F: Fn(u64, u64) -> u64>(
     order: u32,
-    index_of_cell: &F,
-    x0: u64,
-    x1: u64,
-    y0: u64,
-    y1: u64,
+    kind: CurveKind,
+    span: (u64, u64, u64, u64),
     budget: RangeBudget,
     scratch: &mut CoveringScratch,
     out: &mut Vec<(u64, u64)>,
 ) {
-    let size = 1u64 << order;
-    scratch.blocks.clear();
-    visit(
-        index_of_cell,
-        0,
-        0,
-        size,
-        x0,
-        x1,
-        y0,
-        y1,
-        &mut scratch.blocks,
-    );
-    finish_covering(scratch, budget, out);
+    let start = out.len();
+    let ranks = match kind {
+        CurveKind::Hilbert => &HILBERT_RANKS,
+        CurveKind::ZOrder => &ZORDER_RANKS,
+    };
+    Descent {
+        span,
+        ranks,
+        turns: kind == CurveKind::Hilbert,
+        out: &mut *out,
+        start,
+    }
+    .visit(0, 0, 1 << order, 0, false, false);
+    apply_budget(out, start, budget, &mut scratch.gaps);
 }
 
-/// Sort the blocks collected in `scratch`, append them to `out` merging
-/// overlapping and adjacent (`hi + 1 == lo`) neighbours in one pass, and
-/// coalesce down to the range budget — the shared tail of every curve's
-/// decomposition, block-recursive or ring-walking.
+/// One curve-order descent over a query span.
+struct Descent<'o> {
+    span: (u64, u64, u64, u64),
+    ranks: &'static [(u64, u64); 4],
+    /// Whether sub-curves turn (Hilbert) or keep the parent's order.
+    turns: bool,
+    out: &'o mut Vec<(u64, u64)>,
+    /// Where this covering starts in `out`.
+    start: usize,
+}
+
+impl Descent<'_> {
+    /// Visit the aligned block of side `size` at `(bx, by)`, whose
+    /// sub-curve starts at index `base` and runs in orientation
+    /// `(swap, complement)`: the rank order with x and y exchanged, then
+    /// with both bits flipped. That is the transform `hilbert::xy2d`
+    /// has applied to the coordinates by this level; swaps and
+    /// complements commute, so it is its own inverse.
+    fn visit(&mut self, bx: u64, by: u64, size: u64, base: u64, swap: bool, complement: bool) {
+        let (x0, x1, y0, y1) = self.span;
+        let (ex, ey) = (bx + size - 1, by + size - 1);
+        if bx > x1 || by > y1 || ex < x0 || ey < y0 {
+            return;
+        }
+        if bx >= x0 && ex <= x1 && by >= y0 && ey <= y1 {
+            push_merged(self.out, self.start, (base, base + size * size - 1));
+            return;
+        }
+        // A partial block has side ≥ 2: a single cell is inside or out.
+        let half = size / 2;
+        let flip = u64::from(complement);
+        for (r, &(rx, ry)) in (0u64..).zip(self.ranks) {
+            let (qx, qy) = if swap { (ry, rx) } else { (rx, ry) };
+            // The two lower quadrants of a Hilbert `U` are transposed,
+            // the right one also complemented.
+            let turn = self.turns && ry == 0;
+            self.visit(
+                bx + (qx ^ flip) * half,
+                by + (qy ^ flip) * half,
+                half,
+                base + r * half * half,
+                swap ^ turn,
+                complement ^ (turn && rx == 1),
+            );
+        }
+    }
+}
+
+/// Sort the ring edges Onion collected in `scratch`, append them to
+/// `out` merging overlapping and adjacent (`hi + 1 == lo`) neighbours,
+/// and coalesce down to the range budget.
 pub(crate) fn finish_covering(
     scratch: &mut CoveringScratch,
     budget: RangeBudget,
@@ -172,64 +181,31 @@ pub(crate) fn finish_covering(
 ) {
     let start = out.len();
     scratch.blocks.sort_unstable();
-    for &(lo, hi) in &scratch.blocks {
-        match out[start..].last_mut() {
-            Some((_, prev_hi)) if lo <= prev_hi.saturating_add(1) => {
-                *prev_hi = (*prev_hi).max(hi);
-            }
-            _ => out.push((lo, hi)),
-        }
+    for &block in &scratch.blocks {
+        push_merged(out, start, block);
     }
-    if let Some(kept) = coalesce_to_budget(&mut out[start..], budget.max_ranges, &mut scratch.gaps)
-    {
-        out.truncate(start + kept);
+    apply_budget(out, start, budget, &mut scratch.gaps);
+}
+
+/// Append `(lo, hi)`, no lower than any range already in `out[start..]`,
+/// extending the last of them when the two overlap or touch.
+fn push_merged(out: &mut Vec<(u64, u64)>, start: usize, (lo, hi): (u64, u64)) {
+    match out[start..].last_mut() {
+        Some((_, prev_hi)) if lo <= prev_hi.saturating_add(1) => *prev_hi = (*prev_hi).max(hi),
+        _ => out.push((lo, hi)),
     }
 }
 
-/// Recursive block visitor: every block or cell of the cover is pushed
-/// in visit order; [`finish_covering`] sorts and merges them.
-#[allow(clippy::too_many_arguments)]
-fn visit<F: Fn(u64, u64) -> u64>(
-    index_of_cell: &F,
-    bx: u64,
-    by: u64,
-    size: u64,
-    x0: u64,
-    x1: u64,
-    y0: u64,
-    y1: u64,
+/// Coalesce the covering in `out[start..]` down to `budget`.
+fn apply_budget(
     out: &mut Vec<(u64, u64)>,
+    start: usize,
+    budget: RangeBudget,
+    gaps: &mut Vec<(u64, u32)>,
 ) {
-    // Disjoint?
-    if bx > x1 || by > y1 || bx + size - 1 < x0 || by + size - 1 < y0 {
-        return;
+    if let Some(kept) = coalesce_to_budget(&mut out[start..], budget.max_ranges, gaps) {
+        out.truncate(start + kept);
     }
-    // Fully contained?
-    if bx >= x0 && bx + size - 1 <= x1 && by >= y0 && by + size - 1 <= y1 {
-        let base = index_of_cell(bx, by) & !(size * size - 1);
-        out.push((base, base + size * size - 1));
-        return;
-    }
-    if size == 1 {
-        let d = index_of_cell(bx, by);
-        out.push((d, d));
-        return;
-    }
-    let half = size / 2;
-    visit(index_of_cell, bx, by, half, x0, x1, y0, y1, out);
-    visit(index_of_cell, bx + half, by, half, x0, x1, y0, y1, out);
-    visit(index_of_cell, bx, by + half, half, x0, x1, y0, y1, out);
-    visit(
-        index_of_cell,
-        bx + half,
-        by + half,
-        half,
-        x0,
-        x1,
-        y0,
-        y1,
-        out,
-    );
 }
 
 /// Reduce sorted, disjoint `ranges` to at most `max_ranges` by bridging
@@ -294,6 +270,111 @@ mod tests {
 
     fn unit_grid(order: u32, kind: CurveKind) -> CurveGrid {
         CurveGrid::new(GeoRect::new(0.0, 0.0, 1.0, 1.0), order, kind)
+    }
+
+    fn decompose(
+        order: u32,
+        kind: CurveKind,
+        span: (u64, u64, u64, u64),
+        budget: RangeBudget,
+    ) -> Vec<(u64, u64)> {
+        let mut out = Vec::new();
+        decompose_blocks_into(
+            order,
+            kind,
+            span,
+            budget,
+            &mut CoveringScratch::new(),
+            &mut out,
+        );
+        out
+    }
+
+    fn decompose_blocks(
+        grid: &CurveGrid,
+        x0: u64,
+        x1: u64,
+        y0: u64,
+        y1: u64,
+        budget: RangeBudget,
+    ) -> Vec<(u64, u64)> {
+        decompose(grid.order(), grid.kind(), (x0, x1, y0, y1), budget)
+    }
+
+    /// The reference covering, by brute force: every cell of the span
+    /// through the curve's cell → index map, sorted, adjacent indices
+    /// merged, then the same budget coalescing.
+    fn brute_force(
+        order: u32,
+        kind: CurveKind,
+        (x0, x1, y0, y1): (u64, u64, u64, u64),
+        budget: RangeBudget,
+    ) -> Vec<(u64, u64)> {
+        let mut cells = Vec::new();
+        for x in x0..=x1 {
+            for y in y0..=y1 {
+                cells.push(match kind {
+                    CurveKind::Hilbert => crate::hilbert::xy2d(order, x, y),
+                    CurveKind::ZOrder => crate::zorder::xy2z(order, x, y),
+                });
+            }
+        }
+        cells.sort_unstable();
+        let mut ranges: Vec<(u64, u64)> = Vec::new();
+        for d in cells {
+            match ranges.last_mut() {
+                Some((_, hi)) if *hi + 1 == d => *hi = d,
+                _ => ranges.push((d, d)),
+            }
+        }
+        if let Some(kept) = coalesce_to_budget(&mut ranges, budget.max_ranges, &mut Vec::new()) {
+            ranges.truncate(kept);
+        }
+        ranges
+    }
+
+    const ORACLE_BUDGETS: [RangeBudget; 5] = [
+        RangeBudget { max_ranges: 1 },
+        RangeBudget { max_ranges: 2 },
+        RangeBudget { max_ranges: 16 },
+        RangeBudget { max_ranges: 64 },
+        RangeBudget::UNLIMITED,
+    ];
+
+    #[test]
+    fn order_zero_and_whole_grid_resolve_at_the_root() {
+        for kind in [CurveKind::Hilbert, CurveKind::ZOrder] {
+            assert_eq!(
+                decompose(0, kind, (0, 0, 0, 0), RangeBudget::UNLIMITED),
+                [(0, 0)]
+            );
+            for order in 1..=7 {
+                let n = 1u64 << order;
+                for budget in ORACLE_BUDGETS {
+                    assert_eq!(
+                        decompose(order, kind, (0, n - 1, 0, n - 1), budget),
+                        [(0, n * n - 1)],
+                        "{kind:?} order {order}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn descent_never_merges_into_earlier_output() {
+        // Order-1 Hilbert: cell (0,1) is index 1, adjacent to a caller's
+        // range ending at 0.
+        let mut out = vec![(0, 0)];
+        decompose_blocks_into(
+            1,
+            CurveKind::Hilbert,
+            (0, 0, 1, 1),
+            RangeBudget::new(1),
+            &mut CoveringScratch::new(),
+            &mut out,
+        );
+        assert_eq!(out, [(0, 0), (1, 1)]);
     }
 
     /// Exact cover check: every cell in the block is in some range, and
@@ -398,6 +479,29 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The descent equals the brute-force covering on both quadtree
+        /// curves at every order up to 7 and every oracle budget.
+        #[test]
+        fn prop_descent_matches_brute_force(
+            order in 0u32..8,
+            xs in (0u64..128, 0u64..128),
+            ys in (0u64..128, 0u64..128),
+        ) {
+            let n = 1u64 << order;
+            let (a, b) = (xs.0 % n, xs.1 % n);
+            let (c, d) = (ys.0 % n, ys.1 % n);
+            let span = (a.min(b), a.max(b), c.min(d), c.max(d));
+            for kind in [CurveKind::Hilbert, CurveKind::ZOrder] {
+                for budget in ORACLE_BUDGETS {
+                    prop_assert_eq!(
+                        decompose(order, kind, span, budget),
+                        brute_force(order, kind, span, budget),
+                        "{:?} order {} span {:?} budget {}", kind, order, span, budget.max_ranges
+                    );
+                }
+            }
+        }
 
         #[test]
         fn prop_exact_cover(x0 in 0u64..32, w in 0u64..32, y0 in 0u64..32, hgt in 0u64..32) {

@@ -18,9 +18,9 @@
 
 use crate::curve::{fnv1a, Curve, CurveFamily};
 use crate::grid::validate_grid;
-use crate::ranges::{decompose_blocks_generic_into, RangeBudget};
+use crate::ranges::{decompose_blocks_into, RangeBudget};
 use crate::zorder;
-use crate::CoveringScratch;
+use crate::{CoveringScratch, CurveKind};
 use sts_geo::{GeoPoint, GeoRect};
 
 /// Weight of the sample quantiles in the boundary blend; the remaining
@@ -191,23 +191,12 @@ impl Curve for SkewGeoHash {
 
     fn decompose_cells_into(
         &self,
-        (x0, x1, y0, y1): (u64, u64, u64, u64),
+        span: (u64, u64, u64, u64),
         budget: RangeBudget,
         scratch: &mut CoveringScratch,
         out: &mut Vec<(u64, u64)>,
     ) {
-        let order = self.order;
-        decompose_blocks_generic_into(
-            order,
-            &|x, y| zorder::xy2z(order, x, y),
-            x0,
-            x1,
-            y0,
-            y1,
-            budget,
-            scratch,
-            out,
-        );
+        decompose_blocks_into(self.order, CurveKind::ZOrder, span, budget, scratch, out);
     }
 
     /// Includes the fitted boundaries: refitting on a different sample

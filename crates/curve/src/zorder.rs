@@ -1,8 +1,8 @@
-//! The Z-order (Morton) curve, for ablation against Hilbert.
+//! The Z-order (Morton) curve, for comparison against Hilbert.
 //!
 //! Z-order is what GeoHash effectively computes (§2.1); the paper chooses
-//! Hilbert for its better clustering (ref. \[14\]). Implementing both lets the
-//! ablation benches quantify that choice.
+//! Hilbert for its better clustering (ref. \[14\]). Implementing both lets
+//! the `locality` tests quantify that choice.
 
 /// Interleave the low `order` bits of `x` (even positions) and `y` (odd
 /// positions) into a Morton code.

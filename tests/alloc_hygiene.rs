@@ -6,7 +6,9 @@
 //! (scratch buffers at their high-water capacity), executing the same
 //! spatio-temporal query performs **zero** heap allocations inside the
 //! executor hot section on every shard — the scan, fetch, residual
-//! filter and result staging all run out of reused buffers.
+//! filter and result staging all run out of reused buffers. The two
+//! planning stages before it are held too: a warmed covering allocates
+//! nothing, and routing allocates no more for more intervals.
 
 mod support;
 
@@ -126,4 +128,74 @@ fn skip_scan_hot_path_allocates_nothing_after_warm_up() {
             shard.shard
         );
     }
+}
+
+/// A warmed covering allocates nothing: Hilbert and Z-order descend
+/// straight into the caller's range list, Onion reuses its block list,
+/// and every budget coalesces through the reused gap buffer.
+#[test]
+fn warmed_covering_allocates_nothing() {
+    use sts::curve::{CoveringScratch, CurveFamily, RangeBudget};
+
+    let mbr = GeoRect::new(20.0, 35.0, 28.0, 41.5);
+    let rects = [
+        GeoRect::new(23.70, 37.95, 23.76, 38.01), // city-sized
+        GeoRect::new(22.0, 36.0, 25.0, 38.5),     // region-sized
+    ];
+    for family in CurveFamily::ALL {
+        let curve = family.build(&mbr, sts::curve::PAPER_CURVE_ORDER, &[]);
+        let mut scratch = CoveringScratch::new();
+        let mut out = Vec::new();
+        let mut cover = |out: &mut Vec<(u64, u64)>| {
+            for rect in &rects {
+                for budget in [RangeBudget::default(), RangeBudget::UNLIMITED] {
+                    out.clear();
+                    curve.decompose_rect_into(rect, budget, &mut scratch, out);
+                    assert!(!out.is_empty());
+                }
+            }
+        };
+        cover(&mut out);
+        let before = sts::obs::alloc::thread_allocations();
+        cover(&mut out);
+        let allocated = sts::obs::alloc::thread_allocations() - before;
+        assert_eq!(
+            allocated, 0,
+            "{family}: warmed coverings allocated {allocated} time(s)"
+        );
+    }
+}
+
+/// Routing walks the covering's intervals through reused key buffers:
+/// beyond the filter's own `QueryShape::analyze`, routing a 64-interval
+/// hil* filter allocates no more than routing a 4-interval one (which
+/// touches a superset of its chunks).
+#[test]
+fn routing_allocations_do_not_grow_with_the_interval_count() {
+    use sts::curve::RangeBudget;
+    use sts::obs::alloc::thread_allocations;
+    use sts::query::QueryShape;
+
+    let mut store = corpus_store(Approach::HilStar);
+    let mut route_allocations = |budget: usize| {
+        store.set_range_budget(RangeBudget::new(budget));
+        let filter = store.filter_for(&query());
+        let before = thread_allocations();
+        let shape = QueryShape::analyze(&filter);
+        let analyze = thread_allocations() - before;
+        let (_, ivs) = shape
+            .int_intervals
+            .expect("a hil* filter carries intervals");
+        assert_eq!(ivs.len(), budget, "the covering must fill its budget");
+        let before = thread_allocations();
+        let plan = store.cluster().route_plan(&filter);
+        let route = thread_allocations() - before - analyze;
+        assert!(!plan.broadcast && !plan.targets.is_empty());
+        route
+    };
+    let (few, many) = (route_allocations(4), route_allocations(64));
+    assert!(
+        many <= few,
+        "routing 64 intervals allocated {many} time(s), 4 intervals {few}"
+    );
 }

@@ -103,6 +103,62 @@ fn assert_invariants(m: &ChunkMap) {
     }
 }
 
+/// A cluster sharded on `(k, date)` holding `n_docs` documents at
+/// `k = 0, 1, 2, …`, split as it filled.
+fn live_cluster(n_docs: usize) -> sts::cluster::Cluster {
+    use sts::cluster::{Cluster, ClusterConfig, ShardKey};
+    use sts::document::{doc, DateTime};
+
+    let mut cluster = Cluster::new(
+        ClusterConfig {
+            num_shards: NUM_SHARDS,
+            max_chunk_bytes: 4 * 1024,
+            ..Default::default()
+        },
+        ShardKey::range(&["k", "date"]),
+        vec![],
+    );
+    for i in 0..n_docs {
+        let mut d = doc! {
+            "k" => i as i64,
+            "date" => DateTime::from_millis(i as i64 * 1_000),
+        };
+        d.ensure_id(i as u32);
+        cluster.insert(&d).unwrap();
+    }
+    cluster
+}
+
+/// The `$or` on `k` admitting exactly `ivs`; with no interval, one
+/// branch whose own bounds are empty.
+fn or_on_k(ivs: &[(i64, i64)]) -> sts::query::Filter {
+    use sts::query::Filter;
+    let branch = |lo: i64, hi: i64| Filter::And(vec![Filter::gte("k", lo), Filter::lte("k", hi)]);
+    if ivs.is_empty() {
+        return Filter::Or(vec![branch(7, 5)]);
+    }
+    Filter::Or(ivs.iter().map(|&(lo, hi)| branch(lo, hi)).collect())
+}
+
+/// The routing decision by definition: the union of
+/// [`ChunkMap::overlapping`] over the filter's analyzed intervals, each
+/// `[encode(lo), encode(hi) ++ 0xFF)`, and the shards owning those chunks.
+fn route_by_definition(m: &ChunkMap, filter: &sts::query::Filter) -> (Vec<usize>, Vec<usize>) {
+    use sts::document::Value;
+    use sts::encoding::encode_value;
+    let shape = sts::query::QueryShape::analyze(filter);
+    let (_, ivs) = shape.int_intervals.expect("an `$or` of intervals on k");
+    let mut touched = std::collections::BTreeSet::new();
+    for (lo, hi) in ivs {
+        let mut upper = encode_value(&Value::Int64(hi));
+        upper.push(0xFF);
+        touched.extend(m.overlapping(&encode_value(&Value::Int64(lo)), Some(&upper)));
+    }
+    let shards: std::collections::BTreeSet<usize> =
+        touched.iter().map(|&i| m.chunks()[i].shard).collect();
+    (shards.into_iter().collect(), touched.into_iter().collect())
+}
+
 fn apply(m: &mut ChunkMap, op: &MapOp) {
     match op {
         MapOp::SplitAt(k) => {
@@ -200,22 +256,7 @@ proptest! {
         n_docs in 40usize..120,
         actions in proptest::collection::vec((any::<usize>(), any::<usize>(), any::<bool>()), 1..12),
     ) {
-        use sts::cluster::{Cluster, ClusterConfig, ShardKey};
-        use sts::document::{doc, DateTime};
-
-        let mut cluster = Cluster::new(
-            ClusterConfig { num_shards: NUM_SHARDS, max_chunk_bytes: 4 * 1024, ..Default::default() },
-            ShardKey::range(&["k", "date"]),
-            vec![],
-        );
-        for i in 0..n_docs {
-            let mut d = doc! {
-                "k" => i as i64,
-                "date" => DateTime::from_millis(i as i64 * 1_000),
-            };
-            d.ensure_id(i as u32);
-            cluster.insert(&d).unwrap();
-        }
+        let mut cluster = live_cluster(n_docs);
         let docs_total: u64 = cluster.chunk_map().chunks().iter().map(|c| c.docs).sum();
         let bytes_total: u64 = cluster.chunk_map().chunks().iter().map(|c| c.bytes).sum();
         prop_assert_eq!(docs_total, n_docs as u64, "counters track every insert");
@@ -232,6 +273,49 @@ proptest! {
             prop_assert_eq!(m.chunks().iter().map(|c| c.bytes).sum::<u64>(), bytes_total);
             // The physical documents moved with the routing flips.
             prop_assert_eq!(cluster.doc_count(), n_docs as u64);
+        }
+    }
+
+    /// Routing an `$or` of intervals on the leading shard-key field, on
+    /// a map that random splits and migrations reshaped, targets exactly
+    /// the chunks (and their shards) that the intervals overlap one by
+    /// one — for random interval lists and for the edge cases of the
+    /// forward walk.
+    #[test]
+    fn route_plan_equals_the_union_of_per_interval_overlaps(
+        n_docs in 300usize..900,
+        actions in proptest::collection::vec((any::<usize>(), any::<usize>(), any::<bool>()), 0..12),
+        spans in proptest::collection::vec((-20i64..920, 0i64..60), 0..12),
+    ) {
+        let mut cluster = live_cluster(n_docs);
+        for (sel, dst, do_split) in &actions {
+            let cidx = sel % cluster.chunk_map().len();
+            if *do_split {
+                cluster.split_chunk(cidx);
+            } else {
+                cluster.migrate_chunk(cidx, dst % NUM_SHARDS);
+            }
+        }
+        prop_assert!(cluster.chunk_map().len() > 2, "the walk needs chunks to cross");
+        let last = n_docs as i64 - 1;
+        let random: Vec<(i64, i64)> = spans.iter().map(|&(lo, len)| (lo, lo + len)).collect();
+        let cases: [&[(i64, i64)]; 7] = [
+            &random,
+            &[],                                       // every branch empty
+            &[(-1, -1)],                               // the impossible clause
+            &[(-90, -50), (-40, -30)],                 // before the first split
+            &[(last + 10, last + 20), (last + 40, last + 90)], // past the last
+            &[(3, 5), (7, 8), (10, 10)],               // adjacent, sharing a chunk
+            &[(-1_000, last + 1_000)],                 // spanning every chunk
+        ];
+        let m = cluster.chunk_map();
+        for ivs in cases {
+            let filter = or_on_k(ivs);
+            let plan = cluster.route_plan(&filter);
+            prop_assert!(!plan.broadcast);
+            let (targets, touched) = route_by_definition(m, &filter);
+            prop_assert_eq!(&plan.targets, &targets, "targets for {:?}", ivs);
+            prop_assert_eq!(&plan.touched, &touched, "touched chunks for {:?}", ivs);
         }
     }
 }
