@@ -4,6 +4,7 @@ use crate::shardkey::ShardKey;
 use std::ops::Bound;
 use sts_btree::SizeReport;
 use sts_document::Document;
+use sts_encoding::encoded_len;
 use sts_index::{IndexSpec, ScanRange};
 use sts_query::LocalCollection;
 use sts_storage::CollectionStats;
@@ -71,16 +72,18 @@ impl Shard {
         self.collection.indexes().size_reports()
     }
 
-    /// Record ids of documents whose shard key lies in `[min, max)`,
-    /// found through the shard-key index named `index_name`.
-    pub fn record_ids_in_key_range(
+    /// Visit the raw entry keys and record ids of the shard-key index
+    /// named `index_name` whose shard key lies in `[min, max)`, in key
+    /// order.
+    fn scan_key_range(
         &self,
         index_name: &str,
         min: &[u8],
         max: Option<&[u8]>,
-    ) -> Vec<u64> {
+        f: impl FnMut(&[u8], u64),
+    ) {
         let Some(index) = self.collection.indexes().get(index_name) else {
-            return Vec::new();
+            return;
         };
         let range = ScanRange {
             lower: if min.is_empty() {
@@ -93,16 +96,29 @@ impl Shard {
                 Some(m) => Bound::Excluded(m.to_vec()),
             },
         };
+        index.scan_raw(&range, f);
+    }
+
+    /// Record ids of documents whose shard key lies in `[min, max)`,
+    /// found through the shard-key index named `index_name`.
+    pub fn record_ids_in_key_range(
+        &self,
+        index_name: &str,
+        min: &[u8],
+        max: Option<&[u8]>,
+    ) -> Vec<u64> {
         let mut rids = Vec::new();
-        index.scan_ranges(&[range], |_, rid| {
-            rids.push(rid);
-            std::ops::ControlFlow::Continue(())
-        });
+        self.scan_key_range(index_name, min, max, |_, rid| rids.push(rid));
         rids
     }
 
     /// Sorted shard-key byte strings of every document in `[min, max)` —
     /// split-point discovery walks these to find the median.
+    ///
+    /// They are read off the shard-key index's own entries, no document
+    /// fetched: that index starts with the shard key's fields, so the
+    /// first `shard_key.fields.len()` encoded values of an entry are the
+    /// bytes [`ShardKey::key_bytes`] gives its document.
     pub fn shard_keys_in_range(
         &self,
         shard_key: &ShardKey,
@@ -110,11 +126,16 @@ impl Shard {
         min: &[u8],
         max: Option<&[u8]>,
     ) -> Vec<Vec<u8>> {
-        self.record_ids_in_key_range(index_name, min, max)
-            .into_iter()
-            .filter_map(|rid| self.collection.get(rid))
-            .map(|doc| shard_key.key_bytes(&doc))
-            .collect()
+        let fields = shard_key.fields.len();
+        let mut keys = Vec::new();
+        self.scan_key_range(index_name, min, max, |key, _| {
+            let mut len = 0;
+            for _ in 0..fields {
+                len += encoded_len(&key[len..]).expect("index key corrupt");
+            }
+            keys.push(key[..len].to_vec());
+        });
+        keys
     }
 
     /// Non-destructive read of every record in the key range with its
@@ -192,6 +213,12 @@ mod tests {
         let keys = s.shard_keys_in_range(&sk, "hilbertIndex_1_date_1", &lo, Some(&hi));
         assert_eq!(keys.len(), 4);
         assert!(keys.windows(2).all(|w| w[0] <= w[1]), "sorted by key");
+        // Read off the index, the keys are the ones the documents give.
+        let from_docs: Vec<Vec<u8>> = rids
+            .iter()
+            .map(|&rid| sk.key_bytes(&s.collection().get(rid).unwrap()))
+            .collect();
+        assert_eq!(keys, from_docs);
 
         let moved = s.extract_range("hilbertIndex_1_date_1", &lo, Some(&hi));
         assert_eq!(moved.len(), 4);

@@ -10,8 +10,8 @@
 //! but low temporal selectivity cannot exploit the encoding"* — a
 //! spatially tiny query spanning `D` days needs `D` separate interval
 //! families (one per day prefix), whereas the Hilbert layout needs one
-//! decomposition regardless of the time span. The `ablations` bench and
-//! the `sthash_baseline` integration test quantify exactly that.
+//! decomposition regardless of the time span. The `sthash_baseline`
+//! integration test quantifies exactly that.
 
 use crate::query::StQuery;
 use crate::{DATE_FIELD, LOCATION_FIELD};

@@ -11,9 +11,13 @@ use std::sync::Arc;
 /// serialized size), and lookup is linear — documents in this workload have
 /// at most ~75 fields, where linear scans beat hashing.
 ///
+/// Field names are unique: every mutation either replaces a field of
+/// the same name or appends a new one, so a document never holds a
+/// duplicate name and its encoding decodes back to an equal document.
+///
 /// Field storage is copy-on-write behind an [`Arc`]: `clone()` is a
 /// reference-count bump (the query hot path clones every fetched
-/// document out of the store's decoded cache), and the first mutation of
+/// document out of the store's document cache), and the first mutation of
 /// a shared document copies the fields once. Readers never observe
 /// another handle's mutations.
 #[derive(Clone, PartialEq, Default)]
@@ -101,14 +105,17 @@ impl Document {
 
     /// Ensure an `_id` ObjectId exists (generated with `ts_secs` if absent),
     /// returning it. Mirrors the MongoDB client driver behaviour the paper
-    /// describes in §A.1.
+    /// describes in §A.1. An `_id` of another type is replaced, so the
+    /// document still holds exactly one `_id` afterwards.
     pub fn ensure_id(&mut self, ts_secs: u32) -> ObjectId {
         if let Some(id) = self.object_id() {
             return id;
         }
         let id = ObjectId::with_timestamp(ts_secs);
+        let fields = Arc::make_mut(&mut self.fields);
+        fields.retain(|(k, _)| k != "_id");
         // `_id` conventionally leads the document.
-        Arc::make_mut(&mut self.fields).insert(0, ("_id".to_string(), Value::ObjectId(id)));
+        fields.insert(0, ("_id".to_string(), Value::ObjectId(id)));
         id
     }
 
@@ -183,6 +190,16 @@ mod tests {
         assert_eq!(d.ensure_id(200), id);
         assert_eq!(d.iter().next().unwrap().0, "_id");
         assert_eq!(id.timestamp(), 100);
+    }
+
+    #[test]
+    fn ensure_id_replaces_a_non_object_id() {
+        let mut d = doc! {"x" => 1, "_id" => "caller-chosen"};
+        let id = d.ensure_id(100);
+        let names: Vec<&str> = d.iter().map(|(k, _)| k).collect();
+        assert_eq!(names, ["_id", "x"], "one `_id`, leading");
+        assert_eq!(d.object_id(), Some(id));
+        assert_eq!(d.ensure_id(200), id);
     }
 
     #[test]

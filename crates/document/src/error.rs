@@ -11,6 +11,8 @@ pub enum DocError {
     Corrupt { offset: usize, what: &'static str },
     /// An ObjectId hex string was malformed.
     BadObjectId(String),
+    /// A field name held a NUL byte, which the encoding cannot store.
+    BadFieldName(String),
     /// A path lookup failed (reported by callers that require presence).
     MissingField(String),
     /// A value had an unexpected type for the requested operation.
@@ -28,6 +30,7 @@ impl fmt::Display for DocError {
                 write!(f, "corrupt document at byte {offset}: {what}")
             }
             DocError::BadObjectId(s) => write!(f, "invalid ObjectId hex: {s:?}"),
+            DocError::BadFieldName(s) => write!(f, "field name holds a NUL byte: {s:?}"),
             DocError::MissingField(p) => write!(f, "missing field: {p}"),
             DocError::TypeMismatch { expected, found } => {
                 write!(f, "type mismatch: expected {expected}, found {found}")

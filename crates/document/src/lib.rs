@@ -36,7 +36,7 @@ pub use datetime::DateTime;
 pub use document::Document;
 pub use error::{DocError, Result};
 pub use object_id::ObjectId;
-pub use ser::{decode_document, encode_document, encoded_size};
+pub use ser::{check_encodable, decode_document, encode_document, encoded_size};
 pub use value::{Value, ValueKind};
 
 /// Construct a [`Document`] from `key => value` pairs.

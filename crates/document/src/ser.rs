@@ -130,6 +130,28 @@ fn tag_of(v: &Value) -> u8 {
     }
 }
 
+/// Check that [`encode_document`] can store `doc`: field names are
+/// NUL-terminated in the encoding, so a NUL byte inside one, at any
+/// depth, would cut the name short and leave the rest of the record
+/// unreadable. Every document that passes decodes back to an equal one.
+pub fn check_encodable(doc: &Document) -> Result<()> {
+    for (k, v) in doc.iter() {
+        if k.contains('\0') {
+            return Err(DocError::BadFieldName(k.to_string()));
+        }
+        check_value(v)?;
+    }
+    Ok(())
+}
+
+fn check_value(v: &Value) -> Result<()> {
+    match v {
+        Value::Document(d) => check_encodable(d),
+        Value::Array(a) => a.iter().try_for_each(check_value),
+        _ => Ok(()),
+    }
+}
+
 /// Deserialize a document from bytes.
 pub fn decode_document(bytes: &[u8]) -> Result<Document> {
     let mut pos = 0usize;
@@ -297,6 +319,24 @@ mod tests {
         let bytes = encode_document(&d);
         assert_eq!(bytes.len(), 5);
         assert_eq!(decode_document(&bytes).unwrap(), d);
+    }
+
+    #[test]
+    fn nul_in_a_field_name_is_not_encodable() {
+        assert!(check_encodable(&sample()).is_ok());
+        let top = doc! {"a\0b" => 1};
+        let nested = doc! {"a" => vec![Value::Document(doc! {"\0" => 1})]};
+        for d in [top, nested] {
+            assert!(matches!(
+                check_encodable(&d),
+                Err(DocError::BadFieldName(_))
+            ));
+            assert_ne!(decode_document(&encode_document(&d)).ok(), Some(d));
+        }
+        // NUL inside a string *value* is length-prefixed and fine.
+        let value = doc! {"a" => "x\0y"};
+        assert!(check_encodable(&value).is_ok());
+        assert_eq!(decode_document(&encode_document(&value)).unwrap(), value);
     }
 
     #[test]

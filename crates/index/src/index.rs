@@ -41,6 +41,12 @@ fn as_ref_bound(b: &KeyBound) -> Bound<&[u8]> {
     }
 }
 
+/// Append the record-id suffix that makes duplicate key values unique
+/// (the big-endian u64 of `KeyWriter::push_raw_u64`).
+fn push_record_id(key: &mut Vec<u8>, record_id: u64) {
+    key.extend_from_slice(&record_id.to_be_bytes());
+}
+
 /// Statistics of one or more index scans.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanStats {
@@ -88,24 +94,38 @@ impl Index {
         self.tree.is_empty()
     }
 
-    /// Key bytes for a document, or `None` when extraction fails
-    /// (malformed geo field).
-    fn key_of(&self, doc: &Document, record_id: u64) -> Option<Vec<u8>> {
+    /// A document's entry key without its record-id suffix — the
+    /// encoded key values, one per field — or `None` when the document
+    /// cannot be indexed (malformed geo field, value nested too deep).
+    pub fn key_prefix(&self, doc: &Document) -> Option<Vec<u8>> {
         let values = extract_key_values(&self.spec, doc)?;
         let mut w = KeyWriter::new();
         for v in &values {
             w.push(v);
         }
-        w.push_raw_u64(record_id);
         Some(w.finish())
+    }
+
+    /// Key bytes for a document, or `None` when extraction fails.
+    fn key_of(&self, doc: &Document, record_id: u64) -> Option<Vec<u8>> {
+        let mut key = self.key_prefix(doc)?;
+        push_record_id(&mut key, record_id);
+        Some(key)
+    }
+
+    /// Add the entry for `record_id` under a [`key_prefix`](Self::key_prefix)
+    /// already taken from its document.
+    pub fn insert_prefix(&mut self, mut prefix: Vec<u8>, record_id: u64) {
+        push_record_id(&mut prefix, record_id);
+        self.tree.insert(&prefix, record_id);
     }
 
     /// Index a document. Returns `false` when the document cannot be
     /// indexed (2dsphere extraction failed).
     pub fn insert_doc(&mut self, doc: &Document, record_id: u64) -> bool {
-        match self.key_of(doc, record_id) {
-            Some(k) => {
-                self.tree.insert(&k, record_id);
+        match self.key_prefix(doc) {
+            Some(prefix) => {
+                self.insert_prefix(prefix, record_id);
                 true
             }
             None => false,
@@ -167,6 +187,18 @@ impl Index {
         ScanStats {
             keys_examined: cur.keys_examined(),
             seeks: cur.seeks(),
+        }
+    }
+
+    /// Visit every entry in `range` as its raw key bytes (record-id
+    /// suffix included) and record id, in key order — for callers that
+    /// need the key bytes themselves rather than decoded values.
+    pub fn scan_raw(&self, range: &ScanRange, mut f: impl FnMut(&[u8], u64)) {
+        let mut cur = self.tree.batch_cursor();
+        cur.seek(as_ref_bound(&range.lower));
+        let upper = as_ref_bound(&range.upper);
+        while let Some((key, rid)) = cur.next(upper) {
+            f(key, rid);
         }
     }
 

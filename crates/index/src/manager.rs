@@ -51,13 +51,24 @@ impl IndexManager {
         self.indexes.is_empty()
     }
 
-    /// Index a document everywhere. Returns `false` (and rolls back
-    /// nothing — matching MongoDB, geo errors abort inserts upstream)
-    /// when any index rejects it; callers validate geo fields first.
-    pub fn insert_doc(&mut self, doc: &Document, record_id: u64) -> bool {
+    /// Every index's [`key_prefix`](Index::key_prefix) for `doc`, in
+    /// index order — extracted once, both to validate a write before it
+    /// is stored and to index it after — or the spec of the first index
+    /// that cannot hold the document.
+    pub fn key_prefixes(&self, doc: &Document) -> Result<Vec<Vec<u8>>, &IndexSpec> {
         self.indexes
-            .iter_mut()
-            .all(|i| i.insert_doc(doc, record_id))
+            .iter()
+            .map(|i| i.key_prefix(doc).ok_or(i.spec()))
+            .collect()
+    }
+
+    /// Index record `record_id` everywhere under the prefixes
+    /// [`key_prefixes`](Self::key_prefixes) took from its document.
+    pub fn insert_prefixes(&mut self, prefixes: Vec<Vec<u8>>, record_id: u64) {
+        debug_assert_eq!(prefixes.len(), self.indexes.len());
+        for (index, prefix) in self.indexes.iter_mut().zip(prefixes) {
+            index.insert_prefix(prefix, record_id);
+        }
     }
 
     /// Remove a document everywhere.
@@ -109,8 +120,10 @@ mod tests {
         // call, and removal must present the same document that was
         // indexed (as the store layer does).
         let (da, db) = (d(1), d(2));
-        assert!(m.insert_doc(&da, 0));
-        assert!(m.insert_doc(&db, 1));
+        for (doc, rid) in [(&da, 0), (&db, 1)] {
+            let prefixes = m.key_prefixes(doc).unwrap();
+            m.insert_prefixes(prefixes, rid);
+        }
         assert_eq!(m.get("_id").unwrap().len(), 2);
         assert_eq!(m.get("st").unwrap().len(), 2);
         m.remove_doc(&da, 0);
@@ -122,11 +135,20 @@ mod tests {
     fn size_reports_cover_all_indexes() {
         let mut m = mgr();
         for i in 0..100 {
-            m.insert_doc(&d(i), i as u64);
+            let prefixes = m.key_prefixes(&d(i)).unwrap();
+            m.insert_prefixes(prefixes, i as u64);
         }
         let reports = m.size_reports();
         assert_eq!(reports.len(), 2);
         assert!(reports.iter().all(|(_, r)| r.entries == 100));
+    }
+
+    #[test]
+    fn key_prefixes_name_the_rejecting_index() {
+        let mut m = mgr();
+        m.create_index(IndexSpec::new("geo", vec![IndexField::geo("location")]));
+        let err = m.key_prefixes(&d(1)).unwrap_err();
+        assert_eq!(err.name, "geo");
     }
 
     #[test]

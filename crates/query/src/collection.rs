@@ -8,8 +8,8 @@ use crate::planner::Planner;
 use crate::shape::QueryShape;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use sts_document::Document;
-use sts_index::{extract_key_values, IndexManager, IndexSpec};
+use sts_document::{check_encodable, Document};
+use sts_index::{IndexManager, IndexSpec};
 use sts_obs::Registry;
 use sts_storage::{CollectionStats, CollectionStore, RecordId};
 
@@ -96,18 +96,20 @@ impl LocalCollection {
     /// immediately visible; anything above the committed epoch stays
     /// invisible to snapshot readers until published. Migrations use
     /// this to carry a record's stamp across shards unchanged.
+    ///
+    /// A document is rejected, and nothing is written, when a field name
+    /// holds a NUL byte (the encoding cannot store it) or an index cannot
+    /// hold it. Each index's key is extracted once, for both checks and
+    /// the insert.
     pub fn insert_at_epoch(&mut self, doc: &Document, epoch: u64) -> Result<RecordId, String> {
-        for index in self.indexes.iter() {
-            if extract_key_values(index.spec(), doc).is_none() {
-                return Err(format!(
-                    "document not indexable by {}: invalid or missing geo field, or a value nested too deep",
-                    index.spec()
-                ));
-            }
-        }
+        check_encodable(doc).map_err(|e| format!("document not storable: {e}"))?;
+        let prefixes = self.indexes.key_prefixes(doc).map_err(|spec| {
+            format!(
+                "document not indexable by {spec}: invalid or missing geo field, or a value nested too deep"
+            )
+        })?;
         let rid = self.store.insert_at(doc, epoch);
-        let ok = self.indexes.insert_doc(doc, rid);
-        debug_assert!(ok, "validated above");
+        self.indexes.insert_prefixes(prefixes, rid);
         Ok(rid)
     }
 
@@ -154,6 +156,11 @@ impl LocalCollection {
     /// Fetch a document (snapshot-blind; staged records are served too).
     pub fn get(&self, rid: RecordId) -> Option<Document> {
         self.store.get(rid)
+    }
+
+    /// A record's serialized bytes, as storage accounting counts them.
+    pub fn get_raw(&self, rid: RecordId) -> Option<&[u8]> {
+        self.store.get_raw(rid)
     }
 
     /// Fetch a document only if it is visible at `snapshot`.
@@ -359,6 +366,24 @@ mod tests {
         let mut c = st_collection();
         let bad = doc! {"date" => DateTime::from_millis(0), "location" => "oops"};
         assert!(c.insert(&bad).is_err());
+    }
+
+    #[test]
+    fn insert_rejects_nul_in_a_field_name_at_any_depth() {
+        let mut c = st_collection();
+        let mut top = geo_doc(23.0, 37.0, 0);
+        top.set("bad\0name", 1i32);
+        let mut deep = geo_doc(23.0, 37.0, 0);
+        deep.set("a", vec![Value::Document(doc! {"\0" => 1i32})]);
+        for d in [top, deep] {
+            let err = c.insert(&d).unwrap_err();
+            assert!(err.contains("NUL"), "{err}");
+        }
+        assert_eq!(c.len(), 500, "nothing stored");
+        assert!(
+            c.indexes().iter().all(|i| i.len() == 500),
+            "nothing indexed"
+        );
     }
 
     #[test]

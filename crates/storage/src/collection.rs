@@ -1,22 +1,26 @@
-//! Collection-level storage with document (de)serialization and
-//! compressed-size accounting.
+//! Collection-level storage: serialized documents for size accounting,
+//! the caller's documents for fetches.
 
 use crate::heap::{RecordHeap, RecordId};
 use crate::snappy_lite;
 use crate::BLOCK_SIZE;
-use sts_document::{decode_document, encode_document, Document};
+use sts_document::{encode_document, Document};
 
 /// One shard's slice of a collection: serialized documents in a record
 /// heap, sized like a WiredTiger table.
 ///
-/// Alongside the serialized heap the store keeps a decoded-document
-/// cache, one slot per record id — the analogue of WiredTiger's
-/// in-memory page images. Documents are decoded once at insert time;
-/// [`get`](CollectionStore::get) serves a copy-on-write clone (a
-/// reference-count bump), which is what makes the executor's fetch stage
-/// allocation-free. Size accounting ([`stats`](CollectionStore::stats))
-/// still measures the serialized heap only, so Table 6 numbers are
-/// unaffected.
+/// Alongside the serialized heap the store keeps a document cache, one
+/// slot per record id — the analogue of WiredTiger's in-memory page
+/// images. A write encodes its document once, into the heap, and caches
+/// a copy-on-write clone of the caller's own document; nothing is ever
+/// decoded on the write path. [`get`](CollectionStore::get) serves
+/// another clone (a reference-count bump), which is what makes the
+/// executor's fetch stage allocation-free. The cached document equals a
+/// decode of the stored bytes because a `Document` never holds a
+/// duplicate field name and its writers reject names the encoding
+/// cannot store ([`sts_document::check_encodable`]). Size accounting
+/// ([`stats`](CollectionStore::stats)) measures the serialized heap
+/// only, so Table 6 numbers are unaffected.
 ///
 /// For live ingestion every record also carries an **insert epoch** —
 /// a generation stamp assigned at write time. Bulk-loaded records are
@@ -29,7 +33,7 @@ use sts_document::{decode_document, encode_document, Document};
 #[derive(Default)]
 pub struct CollectionStore {
     heap: RecordHeap,
-    decoded: Vec<Option<Document>>,
+    docs: Vec<Option<Document>>,
     epochs: Vec<u64>,
 }
 
@@ -59,21 +63,22 @@ impl CollectionStore {
     /// Serialize and store a document stamped with `epoch`. Records with
     /// an epoch above a reader's snapshot are invisible to
     /// [`get_visible`](Self::get_visible) and the `*_visible` iterators.
+    ///
+    /// The caller must have checked `doc` with
+    /// [`check_encodable`](sts_document::check_encodable); the cache then
+    /// holds a clone of `doc` that equals a decode of the stored bytes.
     pub fn insert_at(&mut self, doc: &Document, epoch: u64) -> RecordId {
-        let bytes = encode_document(doc);
-        // Cache the decode of the stored bytes (not `doc` itself), so a
-        // cached fetch is indistinguishable from a cold decode.
-        let decoded = decode_document(&bytes).expect("document round-trip failed");
-        let id = self.heap.insert(bytes);
-        debug_assert_eq!(id as usize, self.decoded.len());
-        self.decoded.push(Some(decoded));
+        debug_assert!(sts_document::check_encodable(doc).is_ok());
+        let id = self.heap.insert(encode_document(doc));
+        debug_assert_eq!(id as usize, self.docs.len());
+        self.docs.push(Some(doc.clone()));
         self.epochs.push(epoch);
         id
     }
 
-    /// Fetch a document: a copy-on-write clone of the cached decode.
+    /// Fetch a document: a copy-on-write clone of the cached one.
     pub fn get(&self, id: RecordId) -> Option<Document> {
-        self.decoded.get(id as usize)?.clone()
+        self.docs.get(id as usize)?.clone()
     }
 
     /// Fetch a document only if its insert epoch is within `snapshot`
@@ -84,12 +89,12 @@ impl CollectionStore {
         if *self.epochs.get(id as usize)? > snapshot {
             return None;
         }
-        self.decoded.get(id as usize)?.clone()
+        self.docs.get(id as usize)?.clone()
     }
 
     /// The insert epoch a live record was stamped with.
     pub fn epoch_of(&self, id: RecordId) -> Option<u64> {
-        self.decoded.get(id as usize)?.as_ref()?;
+        self.docs.get(id as usize)?.as_ref()?;
         self.epochs.get(id as usize).copied()
     }
 
@@ -99,10 +104,10 @@ impl CollectionStore {
         self.heap.get(id)
     }
 
-    /// Remove a document, returning it decoded.
+    /// Remove a document, returning it.
     pub fn remove(&mut self, id: RecordId) -> Option<Document> {
         self.heap.remove(id)?;
-        self.decoded.get_mut(id as usize)?.take()
+        self.docs.get_mut(id as usize)?.take()
     }
 
     /// Live document count.
@@ -115,17 +120,17 @@ impl CollectionStore {
         self.heap.is_empty()
     }
 
-    /// Iterate live `(id, decoded document)` pairs.
+    /// Iterate live `(id, document)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (RecordId, Document)> + '_ {
-        self.decoded
+        self.docs
             .iter()
             .enumerate()
             .filter_map(|(id, d)| Some((id as RecordId, d.clone()?)))
     }
 
-    /// Iterate live `(id, decoded document)` pairs visible at `snapshot`.
+    /// Iterate live `(id, document)` pairs visible at `snapshot`.
     pub fn iter_visible(&self, snapshot: u64) -> impl Iterator<Item = (RecordId, Document)> + '_ {
-        self.decoded
+        self.docs
             .iter()
             .zip(self.epochs.iter())
             .enumerate()
@@ -139,7 +144,7 @@ impl CollectionStore {
 
     /// Live document count visible at `snapshot`.
     pub fn visible_len(&self, snapshot: u64) -> usize {
-        self.decoded
+        self.docs
             .iter()
             .zip(self.epochs.iter())
             .filter(|(d, &epoch)| d.is_some() && epoch <= snapshot)
@@ -241,6 +246,19 @@ mod tests {
         c.remove(id);
         assert!(c.get(id).is_none());
         assert!(c.iter().next().is_none());
+    }
+
+    #[test]
+    fn caller_mutation_after_insert_does_not_reach_the_store() {
+        let mut c = CollectionStore::new();
+        let mut d = sample(8);
+        let kept = d.clone();
+        let id = c.insert(&d);
+        d.set("vehicleId", "rewritten");
+        d.remove("date");
+        assert_eq!(c.get(id).unwrap(), kept);
+        let cold = sts_document::decode_document(c.get_raw(id).unwrap()).unwrap();
+        assert_eq!(cold, kept);
     }
 
     #[test]
