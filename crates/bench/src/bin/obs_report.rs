@@ -14,40 +14,15 @@
 //! Exits non-zero if the slowest query's trace fails span-nesting
 //! validation or does not round-trip through the `serde_json` shim —
 //! CI uses that as the trace-format gate.
-//!
-//! ## `--timeline` mode
-//!
-//! ```text
-//! obs-report --timeline [--scale F] [--shards N] [--seed S]
-//!            [--batch N]          docs per ingest batch (default 250)
-//!            [--queries N]        queries interleaved per batch (default 8)
-//!            [--window-us N]      timeline window width (default 2000)
-//!            [--slo-us N]         SLO latency threshold (default 500)
-//!            [--timeline-json P]  write the sts-timeline/1 bundle
-//!            [--prom P]           write Prometheus text exposition
-//!            [--perfetto P]       write Perfetto counter tracks + events
-//!            [--folded P]         write cross-query folded stacks
-//!            [--dashboard P]      write the time-series dashboard text
-//! ```
-//!
-//! Runs the live-ingest workload per approach with the telemetry
-//! timeline armed, renders the time-series dashboard, and exits
-//! non-zero when any timeline invariant (window tiling, delta
-//! telescoping, SLO burn accounting) or the `sts-timeline/1` schema
-//! validator fails — CI's timeline gate.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 use sts_bench::obsreport::{verify_chrome_trace, ObsReport, ObsReportConfig};
-use sts_bench::timeline_report::{TimelineReport, TimelineReportConfig};
 use sts_bench::{save_json_to, HarnessConfig};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--timeline") {
-        return timeline_main(&args);
-    }
     let (harness, rest) = HarnessConfig::from_args(&args);
     let mut cfg = ObsReportConfig {
         clustered: false,
@@ -138,89 +113,6 @@ fn main() -> ExitCode {
                 eprintln!("obs-report: --trace requested but the profile is empty");
                 return ExitCode::FAILURE;
             }
-        }
-    }
-    ExitCode::SUCCESS
-}
-
-/// The `--timeline` mode: live-ingest run per approach with the
-/// telemetry timeline armed, all four export formats, and a hard
-/// validation gate.
-fn timeline_main(args: &[String]) -> ExitCode {
-    let (harness, rest) = HarnessConfig::from_args(args);
-    let mut cfg = TimelineReportConfig::default();
-    let mut json_path: Option<PathBuf> = None;
-    let mut prom_path: Option<PathBuf> = None;
-    let mut perfetto_path: Option<PathBuf> = None;
-    let mut folded_path: Option<PathBuf> = None;
-    let mut dashboard_path: Option<PathBuf> = None;
-    let mut it = rest.iter();
-    while let Some(a) = it.next() {
-        let mut grab = |name: &str| -> Option<String> {
-            if a == name {
-                it.next().cloned()
-            } else {
-                a.strip_prefix(&format!("{name}=")).map(str::to_string)
-            }
-        };
-        if a == "--timeline" {
-            continue;
-        } else if let Some(v) = grab("--batch") {
-            cfg.batch_size = v.parse().expect("--batch takes an integer");
-        } else if let Some(v) = grab("--queries") {
-            cfg.queries_per_batch = v.parse().expect("--queries takes an integer");
-        } else if let Some(v) = grab("--window-us") {
-            let us: u64 = v.parse().expect("--window-us takes an integer");
-            cfg.window = Duration::from_micros(us);
-        } else if let Some(v) = grab("--slo-us") {
-            let us: u64 = v.parse().expect("--slo-us takes an integer");
-            cfg.threshold = Duration::from_micros(us);
-        } else if let Some(v) = grab("--timeline-json") {
-            json_path = Some(PathBuf::from(v));
-        } else if let Some(v) = grab("--prom") {
-            prom_path = Some(PathBuf::from(v));
-        } else if let Some(v) = grab("--perfetto") {
-            perfetto_path = Some(PathBuf::from(v));
-        } else if let Some(v) = grab("--folded") {
-            folded_path = Some(PathBuf::from(v));
-        } else if let Some(v) = grab("--dashboard") {
-            dashboard_path = Some(PathBuf::from(v));
-        } else {
-            eprintln!("obs-report --timeline: unknown argument `{a}`");
-            return ExitCode::FAILURE;
-        }
-    }
-
-    let report = TimelineReport::collect(&cfg, &harness);
-    let dashboard = report.dashboard();
-    print!("{dashboard}");
-
-    // The gate: every structural invariant and the schema validator,
-    // before any artifact is written.
-    if let Err(e) = report.verify() {
-        eprintln!("obs-report --timeline: validation failed: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "timeline invariants: ok ({} approaches)",
-        report.approaches.len()
-    );
-
-    let pretty = |v: &serde::Json| serde_json::to_string_pretty(v).expect("Json always serializes");
-    let writes: [(&Option<PathBuf>, &str, String); 5] = [
-        (&json_path, "timeline JSON", pretty(&report.bundle_json())),
-        (&prom_path, "prometheus", report.prometheus()),
-        (&perfetto_path, "perfetto", pretty(&report.perfetto())),
-        (&folded_path, "folded stacks", report.folded()),
-        (&dashboard_path, "dashboard", dashboard.clone()),
-    ];
-    for (path, label, body) in &writes {
-        if let Some(path) = path {
-            if let Err(e) = write_text(path, body) {
-                eprintln!("obs-report --timeline: writing {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-            println!("{label:<13} -> {}", path.display());
         }
     }
     ExitCode::SUCCESS

@@ -10,7 +10,6 @@
 //! aligned text and are archived as JSON under `results/`.
 
 pub mod obsreport;
-pub mod timeline_report;
 
 use serde::Serialize;
 use std::time::Duration;
@@ -311,28 +310,6 @@ pub fn save_json_to(path: &std::path::Path, value: &impl Serialize) -> std::io::
     std::fs::write(path, json + "\n")
 }
 
-/// Today's civil date as `YYYY-MM-DD` (UTC), the timeline bundle's
-/// `generatedAt`. Uses Howard Hinnant's days-to-civil algorithm — no
-/// calendar crate in the offline toolchain.
-pub fn utc_date_string() -> String {
-    let secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let days = (secs / 86_400) as i64;
-    let z = days + 719_468;
-    let era = z.div_euclid(146_097);
-    let doe = z.rem_euclid(146_097);
-    let yoe = (doe - doe / 1_460 + doe / 36_524 - doe / 146_096) / 365;
-    let y = yoe + era * 400;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let d = doy - (153 * mp + 2) / 5 + 1;
-    let m = if mp < 10 { mp + 3 } else { mp - 9 };
-    let y = if m <= 2 { y + 1 } else { y };
-    format!("{y:04}-{m:02}-{d:02}")
-}
-
 /// The R set's urban hotspot centers the query batches sample around.
 const HOTSPOT_CENTERS: [(f64, f64); 5] = [
     (23.7275, 37.9838),
@@ -460,16 +437,6 @@ mod tests {
         };
         assert_eq!(cfg.s_records(), 2 * cfg.r_records(1));
         assert_eq!(cfg.r_records(4), 4 * cfg.r_records(1));
-    }
-
-    #[test]
-    fn date_string_is_civil() {
-        let d = utc_date_string();
-        assert_eq!(d.len(), 10);
-        assert_eq!(d.as_bytes()[4], b'-');
-        assert_eq!(d.as_bytes()[7], b'-');
-        let year: i32 = d[..4].parse().unwrap();
-        assert!(year >= 2024, "{d}");
     }
 
     #[test]

@@ -348,7 +348,25 @@ impl ObsReport {
         ]);
         // Canonical form: recursively sorted keys, so exported reports
         // diff cleanly run-to-run and across schema consumers.
-        sts_obs::sort_json_keys(doc)
+        sort_json_keys(doc)
+    }
+}
+
+/// Recursively sort every object's keys, so exported reports diff
+/// cleanly run to run.
+fn sort_json_keys(v: Json) -> Json {
+    match v {
+        Json::Obj(mut entries) => {
+            entries.sort_by(|a, b| a.0.cmp(&b.0));
+            Json::Obj(
+                entries
+                    .into_iter()
+                    .map(|(k, v)| (k, sort_json_keys(v)))
+                    .collect(),
+            )
+        }
+        Json::Arr(items) => Json::Arr(items.into_iter().map(sort_json_keys).collect()),
+        other => other,
     }
 }
 
@@ -435,6 +453,13 @@ mod tests {
             num_shards,
             ..Default::default()
         }
+    }
+
+    #[test]
+    fn json_keys_sort_recursively() {
+        let doc = serde_json::from_str(r#"{"b":[{"z":1,"y":2}],"a":true}"#).unwrap();
+        let sorted = serde_json::to_string(&sort_json_keys(doc)).unwrap();
+        assert_eq!(sorted, r#"{"a":true,"b":[{"y":2,"z":1}]}"#);
     }
 
     /// Per-store registries keep approach metrics isolated — running a

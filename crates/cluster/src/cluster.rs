@@ -75,8 +75,7 @@ pub struct RoutePlan {
 
 /// Per-query execution overrides for [`Cluster::query_exec`]: an
 /// optional cached routing decision and an optional recovery-policy
-/// override (the router's shed/hedge machinery forces hedged reads
-/// through the latter).
+/// override.
 #[derive(Clone, Copy, Default)]
 pub struct QueryExecOptions<'a> {
     /// A previously computed routing decision; used only while its
@@ -277,17 +276,9 @@ impl Cluster {
         self.health.snapshot(&self.chunks, &self.docs_per_shard())
     }
 
-    /// A percentile of the health ledger's per-query cluster latency
-    /// (slowest shard's total cost, virtual recovery delay included)
-    /// plus the number of queries backing it — the tail signal the
-    /// router tier's shed/hedge decision consumes.
-    pub fn health_latency_percentile(&self, q: f64) -> (Duration, u64) {
-        self.health.latency_percentile(q)
-    }
-
     /// Balancer events with `seq >= from`, in order — the incremental
-    /// read the telemetry timeline uses to annotate splits/migrations
-    /// right after a batch commit without cloning the whole ledger.
+    /// read that counts what one batch commit split and migrated,
+    /// without cloning the whole ledger.
     pub fn balancer_events_since(&self, from: u64) -> Vec<crate::health::BalancerEvent> {
         self.health.events_since(from)
     }
@@ -995,8 +986,7 @@ impl Cluster {
     }
 
     /// [`Cluster::query`] with per-query overrides: a cached routing
-    /// decision to replay and/or a recovery-policy override (the
-    /// router tier's hedge escalation).
+    /// decision to replay and/or a recovery-policy override.
     pub fn query_exec(
         &self,
         filter: &Filter,

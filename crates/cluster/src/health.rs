@@ -68,36 +68,13 @@ pub enum BalancerEventKind {
 }
 
 impl BalancerEventKind {
-    /// Dotted event name for timeline annotations and trace overlays.
+    /// Dotted event name, as the observability report prints it.
     pub fn name(&self) -> &'static str {
         match self {
             BalancerEventKind::Split => "balancer.split",
             BalancerEventKind::Migrate { .. } => "balancer.migrate",
             BalancerEventKind::MigrateAborted { .. } => "balancer.migrate-aborted",
             BalancerEventKind::Jumbo => "balancer.jumbo",
-        }
-    }
-}
-
-impl BalancerEvent {
-    /// Human-readable one-line detail for timeline annotations, e.g.
-    /// `chunk 1a2b…: shard 0 → 2 (17 docs)`.
-    pub fn detail(&self) -> String {
-        let min = self
-            .chunk_min
-            .iter()
-            .take(4)
-            .map(|b| format!("{b:02x}"))
-            .collect::<String>();
-        match &self.kind {
-            BalancerEventKind::Split => format!("chunk {min}: split"),
-            BalancerEventKind::Migrate { from, to, docs } => {
-                format!("chunk {min}: shard {from} → {to} ({docs} docs)")
-            }
-            BalancerEventKind::MigrateAborted { from, to } => {
-                format!("chunk {min}: shard {from} → {to} aborted")
-            }
-            BalancerEventKind::Jumbo => format!("chunk {min}: jumbo"),
         }
     }
 }
@@ -110,10 +87,6 @@ pub(crate) struct ClusterHealth {
     /// and migrations (which do not change bounds).
     chunk_heat: Mutex<BTreeMap<Vec<u8>, u64>>,
     events: Mutex<Vec<BalancerEvent>>,
-    /// Per-query cluster latency (slowest shard's total cost, virtual
-    /// recovery delay included) — the tail signal the router tier's
-    /// shed/hedge decision reads as "health-ledger p99".
-    latency: sts_obs::Histogram,
 }
 
 impl ClusterHealth {
@@ -122,13 +95,11 @@ impl ClusterHealth {
             shards: (0..num_shards).map(|_| ShardLoad::default()).collect(),
             chunk_heat: Mutex::new(BTreeMap::new()),
             events: Mutex::new(Vec::new()),
-            latency: sts_obs::Histogram::new(),
         }
     }
 
     /// Fold one gathered query into the per-shard counters.
     pub(crate) fn record_query(&self, report: &ClusterQueryReport) {
-        self.latency.record(report.max_shard_total_time());
         for s in &report.per_shard {
             let Some(load) = self.shards.get(s.shard) else {
                 continue;
@@ -141,12 +112,6 @@ impl ClusterHealth {
             load.returned
                 .fetch_add(s.stats.n_returned, Ordering::Relaxed);
         }
-    }
-
-    /// A percentile of the ledger's per-query cluster latency, and how
-    /// many queries back it. `(Duration::ZERO, 0)` before any query.
-    pub(crate) fn latency_percentile(&self, q: f64) -> (std::time::Duration, u64) {
-        (self.latency.percentile(q), self.latency.count())
     }
 
     /// Bump the heat counter of every chunk a query's routing touched.
@@ -177,9 +142,8 @@ impl ClusterHealth {
         self.events.lock().unwrap().len() as u64
     }
 
-    /// Events with `seq >= from`, in order — the incremental read the
-    /// timeline uses to annotate new balancer activity without cloning
-    /// the whole history at every batch commit.
+    /// Events with `seq >= from`, in order, without cloning the whole
+    /// history.
     pub(crate) fn events_since(&self, from: u64) -> Vec<BalancerEvent> {
         let events = self.events.lock().unwrap();
         let start = (from as usize).min(events.len());

@@ -6,8 +6,8 @@ use crate::profiler::{Profiler, ProfilerConfig, QueryKind};
 use crate::query::{assemble_filter, build_filter_with, compute_covering, CoverBuffers, StQuery};
 use crate::report::QueryReport;
 use crate::router::{
-    Admission, AdmissionDecision, CacheCounters, CacheOutcome, PlanCache, PlanEntry, PlanKey,
-    ResultCache, ResultEntry, ResultKey, RouterConfig, RouterReport, Shed,
+    CacheCounters, CacheOutcome, PlanCache, PlanEntry, PlanKey, ResultCache, ResultEntry,
+    ResultKey, RouterConfig, RouterReport,
 };
 use crate::{HILBERT_FIELD, LOCATION_FIELD};
 use std::sync::{Arc, Mutex};
@@ -19,19 +19,9 @@ use sts_cluster::{
 use sts_curve::Curve;
 use sts_document::Document;
 use sts_index::geo_point_of;
-use sts_obs::{FoldedStacks, Registry, SloPolicy, Timeline, TimelineConfig, Trace, TraceId};
+use sts_obs::{Registry, Trace, TraceId};
 use sts_query::Filter;
 use sts_storage::CollectionStats;
-
-/// Continuous-telemetry state: the windowed timeline plus the
-/// cross-query flamegraph aggregate and the balancer-event cursor used
-/// to annotate splits/migrations incrementally.
-struct Telemetry {
-    timeline: Timeline,
-    folded: FoldedStacks,
-    /// Next balancer-event `seq` to drain from the health ledger.
-    last_event_seq: u64,
-}
 
 /// A deployed spatio-temporal store: one approach, one sharded cluster.
 pub struct StStore {
@@ -46,17 +36,11 @@ pub struct StStore {
     /// covering list). Queries take `&self`, hence the mutex; it is
     /// uncontended in the single-router simulator.
     cover: Mutex<CoverBuffers>,
-    /// Covering-plan cache (`None` when disabled). `Arc` so one cache
-    /// can front several stores — entries are fingerprint-keyed.
-    plan_cache: Option<Arc<PlanCache>>,
+    /// Covering-plan cache (`None` when disabled). The store's own:
+    /// a [`PlanKey`] does not name the cluster its routing came from.
+    plan_cache: Option<PlanCache>,
     /// Result-page cache (`None` when disabled, the default).
-    result_cache: Option<Arc<ResultCache>>,
-    /// Admission control + load shedding.
-    admission: Admission,
-    /// Continuous telemetry (disabled until
-    /// [`StStore::enable_timeline`]). `&self` recording, like the
-    /// profiler.
-    telemetry: Mutex<Option<Telemetry>>,
+    result_cache: Option<ResultCache>,
 }
 
 /// What [`StStore::plan_query`] hands the execution paths.
@@ -99,55 +83,22 @@ impl StStore {
             cluster,
             profiler: Profiler::default(),
             cover: Mutex::new(CoverBuffers::new()),
-            plan_cache: (router.plan_cache_entries > 0).then(|| {
-                Arc::new(PlanCache::new(
-                    router.plan_cache_entries,
-                    router.plan_cache_shards,
-                ))
-            }),
-            result_cache: (router.result_cache_entries > 0).then(|| {
-                Arc::new(ResultCache::new(
-                    router.result_cache_entries,
-                    router.plan_cache_shards,
-                ))
-            }),
-            admission: Admission::new(router.admission),
-            telemetry: Mutex::new(None),
+            plan_cache: (router.plan_cache_entries > 0)
+                .then(|| PlanCache::new(router.plan_cache_entries, router.plan_cache_shards)),
+            result_cache: (router.result_cache_entries > 0)
+                .then(|| ResultCache::new(router.result_cache_entries, router.plan_cache_shards)),
         }
     }
 
     /// Replace the router-tier configuration: caches are rebuilt empty
-    /// at the new sizes, admission buckets reset, and the executor
-    /// retuned.
+    /// at the new sizes and the executor retuned.
     pub fn set_router_config(&mut self, router: RouterConfig) {
         self.config.router = router;
-        self.plan_cache = (router.plan_cache_entries > 0).then(|| {
-            Arc::new(PlanCache::new(
-                router.plan_cache_entries,
-                router.plan_cache_shards,
-            ))
-        });
-        self.result_cache = (router.result_cache_entries > 0).then(|| {
-            Arc::new(ResultCache::new(
-                router.result_cache_entries,
-                router.plan_cache_shards,
-            ))
-        });
-        self.admission = Admission::new(router.admission);
+        self.plan_cache = (router.plan_cache_entries > 0)
+            .then(|| PlanCache::new(router.plan_cache_entries, router.plan_cache_shards));
+        self.result_cache = (router.result_cache_entries > 0)
+            .then(|| ResultCache::new(router.result_cache_entries, router.plan_cache_shards));
         self.cluster.set_executor_config(router.executor);
-    }
-
-    /// Share a covering-plan cache with other stores (a router process
-    /// fronting many collections). Entries are keyed by approach +
-    /// curve fingerprint + budget, so stores with different fitted
-    /// curves coexist in one cache without ever sharing entries.
-    pub fn share_plan_cache(&mut self, cache: Arc<PlanCache>) {
-        self.plan_cache = Some(cache);
-    }
-
-    /// The live covering-plan cache, if enabled.
-    pub fn plan_cache(&self) -> Option<&Arc<PlanCache>> {
-        self.plan_cache.as_ref()
     }
 
     /// Plan-cache counters (zeroed `CacheCounters` when disabled).
@@ -169,16 +120,6 @@ impl StStore {
     /// Shard-executor counters: tasks, inline fan-outs, helper-run tasks.
     pub fn executor_stats(&self) -> ExecutorStats {
         self.cluster.executor_stats()
-    }
-
-    /// Queries refused by admission control so far.
-    pub fn shed_count(&self) -> u64 {
-        self.admission.sheds()
-    }
-
-    /// Queries escalated to hedged reads by the latency policy so far.
-    pub fn hedge_count(&self) -> u64 {
-        self.admission.hedges()
     }
 
     /// Replace the covering-range budget (per-query decompositions pick
@@ -362,105 +303,9 @@ impl StStore {
         self.cluster.health_snapshot()
     }
 
-    /// Turn on continuous telemetry: a windowed [`Timeline`] over this
-    /// store's metrics registry (optionally tracking `slo`), plus the
-    /// cross-query folded-stacks flamegraph aggregate. Every query
-    /// advances the timeline's virtual clock by its
-    /// `QueryReport::total_time()`; every batch commit advances it by
-    /// the batch's measured wall time and stamps balancer
-    /// split/migration events from the health ledger as timeline
-    /// annotations. Re-enabling restarts from a fresh base sample.
-    pub fn enable_timeline(&self, cfg: TimelineConfig, slo: Option<SloPolicy>) {
-        let mut timeline = Timeline::new(self.metrics_registry().clone(), cfg);
-        if let Some(policy) = slo {
-            timeline.set_slo(policy);
-        }
-        *self
-            .telemetry
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(Telemetry {
-            timeline,
-            folded: FoldedStacks::new(),
-            last_event_seq: self.cluster.balancer_event_count(),
-        });
-    }
-
-    /// Whether continuous telemetry is currently recording.
-    pub fn timeline_enabled(&self) -> bool {
-        self.telemetry
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .is_some()
-    }
-
-    /// Inspect the live timeline without stopping it (mid-run probes
-    /// in tests and benches).
-    pub fn with_timeline<R>(&self, f: impl FnOnce(&Timeline) -> R) -> Option<R> {
-        let guard = self
-            .telemetry
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        guard.as_ref().map(|tel| f(&tel.timeline))
-    }
-
-    /// Stop continuous telemetry: drain any still-unseen balancer
-    /// events, seal the final partial window, and hand back the
-    /// finished timeline plus the cross-query flamegraph aggregate.
-    pub fn finish_timeline(&self) -> Option<(Timeline, FoldedStacks)> {
-        let taken = self
-            .telemetry
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .take();
-        taken.map(|mut tel| {
-            for e in self.cluster.balancer_events_since(tel.last_event_seq) {
-                tel.timeline.annotate(e.kind.name(), e.detail());
-            }
-            tel.timeline.finish();
-            (tel.timeline, tel.folded)
-        })
-    }
-
-    /// Annotate the timeline after a write-path operation: an optional
-    /// leading event, then every balancer event the operation appended
-    /// to the health ledger, then advance the virtual clock by the
-    /// operation's measured wall time.
-    fn timeline_note_write(&self, lead: Option<(&str, String)>, wall: std::time::Duration) {
-        let mut guard = self
-            .telemetry
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let Some(tel) = guard.as_mut() else {
-            return;
-        };
-        if let Some((kind, detail)) = lead {
-            tel.timeline.annotate(kind, detail);
-        }
-        let events = self.cluster.balancer_events_since(tel.last_event_seq);
-        tel.last_event_seq += events.len() as u64;
-        for e in events {
-            tel.timeline.annotate(e.kind.name(), e.detail());
-        }
-        tel.timeline.advance(wall);
-    }
-
-    /// Drop one annotation on the live timeline (no-op when telemetry
-    /// is off).
-    fn timeline_annotate(&self, kind: &str, detail: String) {
-        let mut guard = self
-            .telemetry
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(tel) = guard.as_mut() {
-            tel.timeline.annotate(kind, detail);
-        }
-    }
-
     /// Post-execution bookkeeping shared by every query path: the
-    /// covering histogram (Hilbert methods decompose on every query),
-    /// the end-to-end latency histogram, the continuous timeline (SLO
-    /// accounting + flamegraph folding + virtual-clock advance) and
-    /// the slow-query profiler.
+    /// covering histogram (Hilbert methods decompose on every query)
+    /// and the slow-query profiler.
     fn observe_query(&self, kind: QueryKind, query: StQuery, report: &QueryReport) {
         let obs = self.metrics_registry();
         if self.curve.is_some() {
@@ -470,22 +315,6 @@ impl StStore {
             // pathological query shape) is visible at a glance.
             obs.histogram("query.covering_ranges")
                 .record_value(report.hilbert_ranges as u64);
-        }
-        let total = report.total_time();
-        // End-to-end virtual latency (covering + cluster wall + injected
-        // recovery delay) — the histogram the timeline windows and the
-        // SLO threshold judge.
-        obs.record("query.total", total);
-        {
-            let mut guard = self
-                .telemetry
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if let Some(tel) = guard.as_mut() {
-                tel.timeline.observe_latency(total);
-                report.fold_stages(&mut tel.folded);
-                tel.timeline.advance(total);
-            }
         }
         self.profiler
             .observe(kind, self.config.approach, query, report);
@@ -593,13 +422,7 @@ impl StStore {
             .into_iter()
             .map(|mut d| self.augment(&mut d).map(|()| d))
             .collect();
-        let started = std::time::Instant::now();
-        let n = self.cluster.ingest(augmented?)?;
-        self.timeline_note_write(
-            Some(("ingest.commit", format!("{n} docs"))),
-            started.elapsed(),
-        );
-        Ok(n)
+        self.cluster.ingest(augmented?)
     }
 
     /// Stage one document into the in-flight ingest batch without
@@ -613,87 +436,31 @@ impl StStore {
 
     /// Publish the in-flight staged batch and run the live balancer.
     pub fn commit_batch(&mut self) {
-        let started = std::time::Instant::now();
         self.cluster.commit_batch();
-        self.timeline_note_write(
-            Some(("ingest.commit", "staged batch".to_string())),
-            started.elapsed(),
-        );
     }
 
     /// Split chunk `cidx` at its median shard key (jumbo marking
     /// applies as usual). Schedule-driven tests use this to interleave
     /// balancer actions with ingest and queries at exact points.
     pub fn split_chunk(&mut self, cidx: usize) {
-        let started = std::time::Instant::now();
         self.cluster.split_chunk(cidx);
-        self.timeline_note_write(None, started.elapsed());
     }
 
     /// Migrate chunk `cidx` to shard `dst` through the fault-aware
     /// two-phase protocol; `false` means the migration rolled back and
     /// the chunk stayed on its donor.
     pub fn migrate_chunk(&mut self, cidx: usize, dst: usize) -> bool {
-        let started = std::time::Instant::now();
-        let moved = self.cluster.migrate_chunk(cidx, dst);
-        self.timeline_note_write(None, started.elapsed());
-        moved
+        self.cluster.migrate_chunk(cidx, dst)
     }
 
     /// Execute a spatio-temporal range query.
     pub fn st_query(&self, query: &StQuery) -> (Vec<Document>, QueryReport) {
-        self.st_query_exec(query, None, false)
-    }
-
-    /// Execute a query through admission control: the tenant's token
-    /// bucket is charged, and when the health ledger's p99 exceeds the
-    /// latency budget the query is hedged (burn still tolerable) or
-    /// shed (SLO burning fast — see [`crate::router::AdmissionConfig`]).
-    /// Every shed and forced hedge lands on the timeline as an event
-    /// and in the `router.sheds`/`router.hedges_forced` counters.
-    pub fn st_query_admitted(
-        &self,
-        tenant: &str,
-        query: &StQuery,
-    ) -> Result<(Vec<Document>, QueryReport), Shed> {
-        let (p99, observations) = self.cluster.health_latency_percentile(0.99);
-        // `budget_consumed` folds the open window in, so the signal is
-        // live even before the timeline seals its first window.
-        let burn = self
-            .with_timeline(|t| t.slo().map(|s| s.budget_consumed()))
-            .flatten();
-        match self.admission.decide(tenant, p99, observations, burn) {
-            AdmissionDecision::Admit => Ok(self.st_query(query)),
-            AdmissionDecision::AdmitHedged => {
-                self.metrics_registry()
-                    .counter("router.hedges_forced")
-                    .inc();
-                self.timeline_annotate(
-                    "router.hedge",
-                    format!("tenant={tenant} p99={}us over budget", p99.as_micros()),
-                );
-                let hedged = RecoveryPolicy {
-                    hedge_reads: true,
-                    ..self.config.recovery
-                };
-                Ok(self.st_query_exec(query, Some(hedged), true))
-            }
-            AdmissionDecision::Shed(shed) => {
-                self.metrics_registry().counter("router.sheds").inc();
-                self.timeline_annotate("router.shed", shed.to_string());
-                Err(shed)
-            }
-        }
+        self.st_query_exec(query)
     }
 
     /// The shared find path: result-cache probe, plan-cache-assisted
     /// covering + routing, execution, result-cache fill.
-    fn st_query_exec(
-        &self,
-        query: &StQuery,
-        recovery: Option<RecoveryPolicy>,
-        hedged_by_policy: bool,
-    ) -> (Vec<Document>, QueryReport) {
+    fn st_query_exec(&self, query: &StQuery) -> (Vec<Document>, QueryReport) {
         let started = Instant::now();
         let rkey = self
             .result_cache
@@ -723,7 +490,6 @@ impl StStore {
                         curve_fingerprint: self.fingerprint,
                         router: RouterReport {
                             result_cache: CacheOutcome::Hit,
-                            hedged_by_policy,
                             ..RouterReport::default()
                         },
                     };
@@ -754,7 +520,7 @@ impl StStore {
             &planned.filter,
             QueryExecOptions {
                 route: planned.route.as_deref(),
-                recovery,
+                recovery: None,
             },
         );
         if result_outcome != CacheOutcome::Bypass {
@@ -788,7 +554,6 @@ impl StStore {
             curve_fingerprint: self.fingerprint,
             router: RouterReport {
                 result_cache: result_outcome,
-                hedged_by_policy,
                 ..planned.router
             },
         };

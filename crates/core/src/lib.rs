@@ -69,15 +69,12 @@ pub use query::{
     build_polygon_filter_with, compute_covering, CoverBuffers, StQuery,
 };
 pub use report::QueryReport;
-pub use router::{
-    AdmissionConfig, CacheCounters, CacheOutcome, PlanCache, ResultCache, RouterConfig,
-    RouterReport, Shed, ShedReason,
-};
+pub use router::{CacheCounters, CacheOutcome, RouterConfig, RouterReport};
 pub use sts_cluster::{
     ExecutorConfig, ExecutorStats, FailPoint, FailPointMode, FaultKind, HealthSnapshot,
     RecoveryPolicy, ShardRecovery, Skew,
 };
-pub use sts_obs::{FoldedStacks, SloPolicy, Timeline, TimelineConfig, Trace, TraceError, TraceId};
+pub use sts_obs::{Trace, TraceError, TraceId};
 pub use sts_query::QueryError;
 
 /// Document field holding the GeoJSON point.

@@ -20,7 +20,7 @@ use crate::approach::Approach;
 use crate::query::StQuery;
 use crate::report::QueryReport;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 use sts_document::{doc, Document, Value};
@@ -152,6 +152,9 @@ struct Inner {
 /// query path is `&self` end to end, so capture must be too.
 pub struct Profiler {
     seq: AtomicU64,
+    /// `config.enabled`, readable without the ring's mutex: a disabled
+    /// profiler never locks on the query path.
+    enabled: AtomicBool,
     inner: Mutex<Inner>,
 }
 
@@ -166,6 +169,7 @@ impl Profiler {
     pub fn new(config: ProfilerConfig) -> Self {
         Profiler {
             seq: AtomicU64::new(0),
+            enabled: AtomicBool::new(config.enabled),
             inner: Mutex::new(Inner {
                 config,
                 ring: VecDeque::new(),
@@ -178,6 +182,7 @@ impl Profiler {
     pub fn configure(&self, config: ProfilerConfig) {
         let mut inner = self.inner.lock().unwrap();
         inner.config = config;
+        self.enabled.store(config.enabled, Ordering::Relaxed);
         while inner.ring.len() > inner.config.capacity {
             inner.ring.pop_front();
         }
@@ -200,6 +205,9 @@ impl Profiler {
         report: &QueryReport,
     ) -> u64 {
         let op = self.seq.fetch_add(1, Ordering::Relaxed);
+        if !self.enabled.load(Ordering::Relaxed) {
+            return op;
+        }
         let latency = report.total_time();
         let mut inner = self.inner.lock().unwrap();
         let cfg = inner.config;
@@ -305,6 +313,21 @@ mod tests {
         );
         assert!(p.is_empty());
         assert_eq!(p.last_op(), Some(0));
+    }
+
+    #[test]
+    fn disabled_profiler_never_takes_the_ring_lock() {
+        let p = Profiler::default();
+        // Poison the ring's mutex: any later `lock().unwrap()` panics.
+        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _held = p.inner.lock().unwrap();
+            panic!("poison the ring");
+        }));
+        assert!(poisoned.is_err());
+        for _ in 0..3 {
+            p.observe(QueryKind::Find, Approach::Hil, q(), &report_with_wall(10));
+        }
+        assert_eq!(p.last_op(), Some(2), "op numbers advance while disabled");
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub struct QueryReport {
     /// key component the router tier will reuse.
     pub curve_fingerprint: Option<u64>,
     /// What the router tier did for this query: plan/result cache
-    /// outcomes, routing reuse, and policy-forced hedging.
+    /// outcomes and routing reuse.
     pub router: RouterReport,
 }
 
@@ -88,7 +88,6 @@ impl QueryReport {
                 "planCache" => self.router.plan_cache.name(),
                 "resultCache" => self.router.result_cache.name(),
                 "routeReused" => self.router.route_reused,
-                "hedgedByPolicy" => self.router.hedged_by_policy,
             },
             "shards" => shards,
         };
@@ -96,31 +95,6 @@ impl QueryReport {
             d.set("curveFingerprint", format!("{fp:016x}"));
         }
         d
-    }
-
-    /// Fold this query's stage breakdown into a cross-query
-    /// [`sts_obs::FoldedStacks`] aggregate (semicolon-joined frame paths, values
-    /// in nanoseconds of virtual stage time) — rendered by
-    /// `obs-report --timeline` for `flamegraph.pl`/inferno.
-    pub fn fold_stages(&self, out: &mut sts_obs::FoldedStacks) {
-        let ns = |d: Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
-        out.add_frames(&["stQuery", Stage::Covering.name()], ns(self.hilbert_time));
-        out.add_frames(
-            &["stQuery", Stage::Routing.name()],
-            ns(self.cluster.routing),
-        );
-        out.add_frames(&["stQuery", Stage::Merge.name()], ns(self.cluster.merge));
-        for s in &self.cluster.per_shard {
-            let b = s.stage_breakdown();
-            for (stage, d) in [
-                (Stage::Recovery, b.recovery),
-                (Stage::Planning, b.planning),
-                (Stage::IndexScan, b.index_scan),
-                (Stage::FetchFilter, b.fetch_filter),
-            ] {
-                out.add_frames(&["stQuery", "shardExec", stage.name()], ns(d));
-            }
-        }
     }
 
     /// Build the query's causal span tree on the virtual clock.
@@ -374,45 +348,5 @@ mod tests {
         // Recovery's injected delay lands in its own stage.
         assert_eq!(stages.get("recoveryMicros"), Some(&Value::Int64(5_000)));
         assert_eq!(stages.get("indexScanMicros"), Some(&Value::Int64(60)));
-    }
-
-    #[test]
-    fn fold_stages_aggregates_across_queries() {
-        let shard = ShardExecution::clean(
-            1,
-            ExecutionStats {
-                duration: Duration::from_micros(100),
-                planning: Duration::from_micros(10),
-                fetch_time: Duration::from_micros(40),
-                ..Default::default()
-            },
-        );
-        let r = QueryReport {
-            cluster: ClusterQueryReport {
-                per_shard: vec![shard],
-                routing: Duration::from_micros(4),
-                merge: Duration::from_micros(6),
-                ..Default::default()
-            },
-            hilbert_time: Duration::from_micros(9),
-            hilbert_ranges: 4,
-            curve_fingerprint: None,
-            router: RouterReport::default(),
-        };
-        let mut f = sts_obs::FoldedStacks::new();
-        r.fold_stages(&mut f);
-        r.fold_stages(&mut f); // second query merges into the same stacks
-        let rendered = f.render();
-        assert!(rendered.contains("stQuery;covering 18000\n"), "{rendered}");
-        assert!(
-            rendered.contains("stQuery;shardExec;indexScan 120000\n"),
-            "{rendered}"
-        );
-        assert!(
-            rendered.contains("stQuery;shardExec;fetchFilter 80000\n"),
-            "{rendered}"
-        );
-        // Clean shard: no recovery frame at all.
-        assert!(!rendered.contains("recovery"), "{rendered}");
     }
 }

@@ -1,25 +1,21 @@
-//! The router tier: covering-plan cache, hot result-page cache, and
-//! admission control with latency-budget load shedding.
+//! The router tier: covering-plan cache and hot result-page cache.
 //!
 //! At "millions of users" scale the same query shapes repeat
 //! constantly, and the router — which recomputes the curve covering
 //! and fans out on every query — becomes the bottleneck. This module
-//! gives [`crate::StStore`] three production pieces:
+//! gives [`crate::StStore`] two production pieces:
 //!
 //! * a **covering-plan cache** ([`PlanCache`]): a sharded LRU keyed by
 //!   `(approach, curve fingerprint, range budget, quantized query
 //!   MBR/time window)`, holding the coalesced covering ranges and the
 //!   routing decision ([`sts_cluster::RoutePlan`], generation-stamped).
-//!   The fingerprint key component means two stores whose fitted
-//!   SkewGeoHash boundaries differ can share one cache and never share
-//!   entries;
+//!   Each store owns its cache: the key does not name the cluster, so a
+//!   cached routing decision is only meaningful to the store that made
+//!   it;
 //! * a **result-page cache** ([`ResultCache`]): exact-keyed pages of
 //!   result documents stamped with the committed epoch *and* the write
 //!   generation at fill time. A page is served only while both still
-//!   match, so a cached page can never expose a torn or stale batch;
-//! * **admission control** ([`Admission`]): per-tenant token buckets
-//!   plus a shed/hedge decision driven by the SLO burn tracker and the
-//!   health ledger's p99.
+//!   match, so a cached page can never expose a torn or stale batch.
 //!
 //! Quantization makes near-identical rectangles share one plan: the
 //! MBR is snapped *outward* to a `2^-quant_frac_bits`-degree grid (and
@@ -33,7 +29,7 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use sts_cluster::{ClusterQueryReport, ExecutorConfig, RoutePlan};
 use sts_document::{DateTime, Document};
 use sts_geo::GeoRect;
@@ -63,8 +59,6 @@ pub struct RouterConfig {
     /// Time-window quantization step in milliseconds (snapped
     /// outward); `0` keys on exact millis.
     pub quant_time_ms: i64,
-    /// Admission control and load shedding.
-    pub admission: AdmissionConfig,
     /// Shard-executor tunables (parked workers), passed to the cluster.
     pub executor: ExecutorConfig,
 }
@@ -78,44 +72,7 @@ impl Default for RouterConfig {
             result_cache_max_docs: 4096,
             quant_frac_bits: 8,
             quant_time_ms: 60_000,
-            admission: AdmissionConfig::default(),
             executor: ExecutorConfig::default(),
-        }
-    }
-}
-
-/// Admission-control policy: per-tenant token buckets plus the
-/// latency-budget shed/hedge decision.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct AdmissionConfig {
-    /// Master switch; off makes `st_query_admitted` equivalent to
-    /// `st_query` (plus tenancy bookkeeping).
-    pub enabled: bool,
-    /// Token-bucket capacity per tenant (burst allowance).
-    pub tenant_burst: f64,
-    /// Token refill rate per tenant per second of wall time. `0`
-    /// freezes buckets — deterministic tests drive shedding this way.
-    pub tenant_rate_per_sec: f64,
-    /// The latency budget: when the health ledger's p99 exceeds it the
-    /// router escalates (hedge, then shed as burn confirms).
-    pub latency_budget: Duration,
-    /// SLO burn rate (from the timeline's burn tracker) above which an
-    /// over-budget p99 sheds instead of hedging.
-    pub shed_burn_threshold: f64,
-    /// Minimum ledger observations before latency-budget decisions
-    /// engage (a cold ledger's p99 is noise).
-    pub min_observations: u64,
-}
-
-impl Default for AdmissionConfig {
-    fn default() -> Self {
-        AdmissionConfig {
-            enabled: false,
-            tenant_burst: 64.0,
-            tenant_rate_per_sec: 128.0,
-            latency_budget: Duration::from_millis(50),
-            shed_burn_threshold: 2.0,
-            min_observations: 64,
         }
     }
 }
@@ -158,45 +115,7 @@ pub struct RouterReport {
     pub result_cache: CacheOutcome,
     /// Whether a cached routing decision was replayed (vs recomputed).
     pub route_reused: bool,
-    /// Whether the shed/hedge policy forced hedged reads on.
-    pub hedged_by_policy: bool,
 }
-
-/// Why the router refused a query.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ShedReason {
-    /// The tenant's token bucket is empty.
-    TenantBudget,
-    /// The cluster is over its latency budget and burning SLO budget
-    /// fast enough that adding load would make it worse.
-    LatencyBudget,
-}
-
-/// A shed query: who was refused and why.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Shed {
-    /// The tenant whose query was refused.
-    pub tenant: String,
-    /// Why.
-    pub reason: ShedReason,
-}
-
-impl std::fmt::Display for Shed {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.reason {
-            ShedReason::TenantBudget => {
-                write!(f, "tenant `{}` over its admission budget", self.tenant)
-            }
-            ShedReason::LatencyBudget => write!(
-                f,
-                "cluster over latency budget; query from `{}` shed",
-                self.tenant
-            ),
-        }
-    }
-}
-
-impl std::error::Error for Shed {}
 
 // ---------------------------------------------------------------------
 // Sharded LRU
@@ -640,128 +559,6 @@ impl ResultEntry {
 /// The result-page cache.
 pub type ResultCache = ShardedLru<ResultKey, ResultEntry>;
 
-// ---------------------------------------------------------------------
-// Admission control
-// ---------------------------------------------------------------------
-
-struct Bucket {
-    tokens: f64,
-    last: Instant,
-}
-
-/// The admission decision for one query.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum AdmissionDecision {
-    /// Run normally.
-    Admit,
-    /// Run, but with hedged reads forced on (tail over budget, burn
-    /// still tolerable).
-    AdmitHedged,
-    /// Refuse.
-    Shed(Shed),
-}
-
-/// Per-tenant token buckets plus the latency-budget shed/hedge policy.
-/// `&self` throughout (interior mutability) — admission runs on the
-/// read path.
-pub struct Admission {
-    config: AdmissionConfig,
-    buckets: Mutex<HashMap<String, Bucket>>,
-    sheds: AtomicU64,
-    hedges: AtomicU64,
-}
-
-impl Admission {
-    /// Build from policy.
-    pub fn new(config: AdmissionConfig) -> Self {
-        Admission {
-            config,
-            buckets: Mutex::new(HashMap::new()),
-            sheds: AtomicU64::new(0),
-            hedges: AtomicU64::new(0),
-        }
-    }
-
-    /// The active policy.
-    pub fn config(&self) -> &AdmissionConfig {
-        &self.config
-    }
-
-    /// Queries shed so far.
-    pub fn sheds(&self) -> u64 {
-        self.sheds.load(Ordering::Relaxed)
-    }
-
-    /// Queries escalated to hedged reads so far.
-    pub fn hedges(&self) -> u64 {
-        self.hedges.load(Ordering::Relaxed)
-    }
-
-    /// Decide one query's fate. `p99`/`observations` come from the
-    /// health ledger, `burn` from the SLO burn tracker (`None` when no
-    /// SLO is armed — then only a hard 2× budget overrun sheds).
-    pub fn decide(
-        &self,
-        tenant: &str,
-        p99: Duration,
-        observations: u64,
-        burn: Option<f64>,
-    ) -> AdmissionDecision {
-        if !self.config.enabled {
-            return AdmissionDecision::Admit;
-        }
-        if !self.take_token(tenant) {
-            self.sheds.fetch_add(1, Ordering::Relaxed);
-            return AdmissionDecision::Shed(Shed {
-                tenant: tenant.to_string(),
-                reason: ShedReason::TenantBudget,
-            });
-        }
-        if observations >= self.config.min_observations && p99 > self.config.latency_budget {
-            let over_burn = match burn {
-                Some(b) => b >= self.config.shed_burn_threshold,
-                // No SLO armed: shed only on a hard 2× overrun.
-                None => p99 > self.config.latency_budget * 2,
-            };
-            if over_burn {
-                self.sheds.fetch_add(1, Ordering::Relaxed);
-                return AdmissionDecision::Shed(Shed {
-                    tenant: tenant.to_string(),
-                    reason: ShedReason::LatencyBudget,
-                });
-            }
-            self.hedges.fetch_add(1, Ordering::Relaxed);
-            return AdmissionDecision::AdmitHedged;
-        }
-        AdmissionDecision::Admit
-    }
-
-    /// Refill (wall-clock) and take one token; `false` = bucket empty.
-    fn take_token(&self, tenant: &str) -> bool {
-        let mut buckets = self
-            .buckets
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let now = Instant::now();
-        let b = buckets.entry(tenant.to_string()).or_insert(Bucket {
-            tokens: self.config.tenant_burst,
-            last: now,
-        });
-        if self.config.tenant_rate_per_sec > 0.0 {
-            let dt = now.duration_since(b.last).as_secs_f64();
-            b.tokens =
-                (b.tokens + dt * self.config.tenant_rate_per_sec).min(self.config.tenant_burst);
-        }
-        b.last = now;
-        if b.tokens >= 1.0 {
-            b.tokens -= 1.0;
-            true
-        } else {
-            false
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -877,67 +674,5 @@ mod tests {
         let (h1, _) = PlanKey::new(Approach::Hil, Some(9), 64, &mk(0, 1_000), &cfg);
         let (h2, _) = PlanKey::new(Approach::Hil, Some(9), 64, &mk(7_200_000, 9_000_000), &cfg);
         assert_eq!(h1, h2);
-    }
-
-    #[test]
-    fn token_bucket_sheds_after_burst_with_zero_refill() {
-        let a = Admission::new(AdmissionConfig {
-            enabled: true,
-            tenant_burst: 3.0,
-            tenant_rate_per_sec: 0.0,
-            ..AdmissionConfig::default()
-        });
-        for _ in 0..3 {
-            assert_eq!(
-                a.decide("t1", Duration::ZERO, 0, None),
-                AdmissionDecision::Admit
-            );
-        }
-        match a.decide("t1", Duration::ZERO, 0, None) {
-            AdmissionDecision::Shed(s) => assert_eq!(s.reason, ShedReason::TenantBudget),
-            other => panic!("expected shed, got {other:?}"),
-        }
-        // Another tenant's bucket is untouched.
-        assert_eq!(
-            a.decide("t2", Duration::ZERO, 0, None),
-            AdmissionDecision::Admit
-        );
-        assert_eq!(a.sheds(), 1);
-    }
-
-    #[test]
-    fn latency_budget_hedges_then_sheds_on_burn() {
-        let cfg = AdmissionConfig {
-            enabled: true,
-            latency_budget: Duration::from_millis(10),
-            shed_burn_threshold: 2.0,
-            min_observations: 4,
-            ..AdmissionConfig::default()
-        };
-        let a = Admission::new(cfg);
-        let over = Duration::from_millis(25);
-        // Below min observations: admit.
-        assert_eq!(a.decide("t", over, 3, Some(9.0)), AdmissionDecision::Admit);
-        // Over budget, low burn: hedge.
-        assert_eq!(
-            a.decide("t", over, 10, Some(0.5)),
-            AdmissionDecision::AdmitHedged
-        );
-        // Over budget, burning: shed.
-        match a.decide("t", over, 10, Some(5.0)) {
-            AdmissionDecision::Shed(s) => assert_eq!(s.reason, ShedReason::LatencyBudget),
-            other => panic!("expected shed, got {other:?}"),
-        }
-        // No SLO armed: only a 2× overrun sheds.
-        assert_eq!(
-            a.decide("t", Duration::from_millis(15), 10, None),
-            AdmissionDecision::AdmitHedged
-        );
-        match a.decide("t", Duration::from_millis(25), 10, None) {
-            AdmissionDecision::Shed(s) => assert_eq!(s.reason, ShedReason::LatencyBudget),
-            other => panic!("expected shed, got {other:?}"),
-        }
-        assert_eq!(a.hedges(), 2);
-        assert_eq!(a.sheds(), 2);
     }
 }

@@ -189,179 +189,6 @@ impl Histogram {
             sum: Duration::from_nanos(self.sum_nanos.load(Ordering::Relaxed)),
         }
     }
-
-    /// A full cumulative dump of the bucket lattice — the plain-data
-    /// form the telemetry timeline samples at window boundaries so
-    /// per-window deltas can be computed by subtraction
-    /// ([`HistogramCounts::delta`]).
-    pub fn counts(&self) -> HistogramCounts {
-        HistogramCounts {
-            buckets: self
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-            count: self.count(),
-            sum_nanos: self.sum_nanos.load(Ordering::Relaxed),
-            saturated: self.saturated(),
-            min_nanos: self.min_nanos.load(Ordering::Relaxed),
-            max_nanos: self.max_nanos.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A plain-data cumulative dump of a [`Histogram`]: the bucket counts
-/// plus the scalar accumulators, detached from the atomics. Two dumps
-/// of the same histogram taken at different instants subtract into the
-/// *window delta* of the recordings in between ([`Self::delta`]);
-/// window deltas merge back into the cumulative histogram exactly
-/// ([`Self::merge`]) because everything is bucket-wise addition over
-/// one shared lattice.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct HistogramCounts {
-    /// Per-bucket recording counts, in lattice order.
-    pub buckets: Vec<u64>,
-    /// Total recordings.
-    pub count: u64,
-    /// Sum of all recorded values in nanoseconds (unclamped).
-    pub sum_nanos: u64,
-    /// Recordings clamped at [`MAX_TRACKABLE_NANOS`].
-    pub saturated: u64,
-    /// Smallest recorded value (`u64::MAX` when empty). For a window
-    /// delta this is a *bucket-resolution estimate*: the low edge of
-    /// the first bucket the window touched.
-    pub min_nanos: u64,
-    /// Largest recorded value (0 when empty). For a window delta this
-    /// is a bucket-resolution estimate (high edge of the last touched
-    /// bucket, capped by the cumulative max).
-    pub max_nanos: u64,
-}
-
-impl Default for HistogramCounts {
-    fn default() -> Self {
-        Self::empty()
-    }
-}
-
-impl HistogramCounts {
-    /// A dump with nothing recorded.
-    pub fn empty() -> Self {
-        HistogramCounts {
-            buckets: vec![0; BUCKETS],
-            count: 0,
-            sum_nanos: 0,
-            saturated: 0,
-            min_nanos: u64::MAX,
-            max_nanos: 0,
-        }
-    }
-
-    /// True when nothing is recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// The recordings that happened between `earlier` and `self`
-    /// (both cumulative dumps of the *same* histogram, `earlier` taken
-    /// first). Buckets, count, sum and saturation subtract exactly;
-    /// min/max are re-estimated from the delta's touched buckets since
-    /// the cumulative extremes don't decompose per window.
-    pub fn delta(&self, earlier: &HistogramCounts) -> HistogramCounts {
-        let buckets: Vec<u64> = self
-            .buckets
-            .iter()
-            .zip(earlier.buckets.iter())
-            .map(|(now, then)| now.saturating_sub(*then))
-            .collect();
-        let count = self.count.saturating_sub(earlier.count);
-        let (min_nanos, max_nanos) = if count == 0 {
-            (u64::MAX, 0)
-        } else {
-            let first = buckets.iter().position(|&b| b > 0).unwrap_or(0);
-            let last = buckets.iter().rposition(|&b| b > 0).unwrap_or(0);
-            // The cumulative min bounds every sample from below, so the
-            // window min lies in [max(cum_min, bucket_low(first)), …].
-            (
-                bucket_low(first).max(self.min_nanos),
-                (bucket_low(last) + bucket_width(last) - 1).min(self.max_nanos),
-            )
-        };
-        HistogramCounts {
-            buckets,
-            count,
-            sum_nanos: self.sum_nanos.saturating_sub(earlier.sum_nanos),
-            saturated: self.saturated.saturating_sub(earlier.saturated),
-            min_nanos,
-            max_nanos,
-        }
-    }
-
-    /// Fold another dump (typically a window delta) into this one.
-    pub fn merge(&mut self, other: &HistogramCounts) {
-        for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *mine += theirs;
-        }
-        self.count += other.count;
-        self.sum_nanos += other.sum_nanos;
-        self.saturated += other.saturated;
-        self.min_nanos = self.min_nanos.min(other.min_nanos);
-        self.max_nanos = self.max_nanos.max(other.max_nanos);
-    }
-
-    /// The value at quantile `q`, same rank-and-midpoint readout as
-    /// [`Histogram::percentile`] (zero when empty).
-    pub fn percentile(&self, q: f64) -> Duration {
-        if self.count == 0 {
-            return Duration::ZERO;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (idx, &b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= rank {
-                let mid = bucket_low(idx) + bucket_width(idx) / 2;
-                let v = if self.min_nanos <= self.max_nanos {
-                    mid.clamp(self.min_nanos, self.max_nanos)
-                } else {
-                    mid
-                };
-                return Duration::from_nanos(v);
-            }
-        }
-        Duration::from_nanos(if self.max_nanos == 0 {
-            0
-        } else {
-            self.max_nanos
-        })
-    }
-
-    /// Arithmetic mean of the recordings (zero when empty).
-    pub fn mean(&self) -> Duration {
-        if self.count == 0 {
-            return Duration::ZERO;
-        }
-        Duration::from_nanos(self.sum_nanos / self.count)
-    }
-
-    /// Summary in the same shape [`Histogram::snapshot`] reports.
-    pub fn summary(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            count: self.count,
-            saturated: self.saturated,
-            p50: self.percentile(0.50),
-            p95: self.percentile(0.95),
-            p99: self.percentile(0.99),
-            mean: self.mean(),
-            min: Duration::from_nanos(if self.min_nanos == u64::MAX {
-                0
-            } else {
-                self.min_nanos
-            }),
-            max: Duration::from_nanos(self.max_nanos),
-            sum: Duration::from_nanos(self.sum_nanos),
-        }
-    }
 }
 
 /// Summary statistics of a [`Histogram`] at one instant.

@@ -46,24 +46,15 @@
 #![deny(missing_docs)]
 
 pub mod alloc;
-pub mod export;
 pub mod histogram;
 pub mod registry;
-pub mod slo;
 pub mod span;
 pub mod stage;
-pub mod timeline;
 pub mod trace;
 
 pub use alloc::{AllocSpan, CountingAllocator};
-pub use export::{
-    perfetto_timeline, prometheus_text, sort_json_keys, timeline_json, validate_timeline_json,
-    FoldedStacks, TIMELINE_SCHEMA,
-};
-pub use histogram::{Histogram, HistogramCounts, HistogramSnapshot};
+pub use histogram::{Histogram, HistogramSnapshot};
 pub use registry::{global, global_handle, Counter, Gauge, Registry, RegistrySnapshot};
-pub use slo::{BurnAlert, BurnRule, SloPolicy, SloTracker, WindowSlo};
 pub use span::Span;
 pub use stage::{Stage, StageBreakdown};
-pub use timeline::{Timeline, TimelineConfig, TimelineEvent, TimelineWindow};
 pub use trace::{SpanId, SpanValue, Trace, TraceError, TraceId, TraceSpan, Track};

@@ -115,29 +115,6 @@ impl Registry {
         }
     }
 
-    /// Dump every counter value, sorted by name (the cheap cumulative
-    /// sample the timeline subtracts into per-window deltas).
-    pub fn counter_values(&self) -> Vec<(String, u64)> {
-        self.counters
-            .read()
-            .unwrap()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.get()))
-            .collect()
-    }
-
-    /// Dump every histogram's full bucket counts, sorted by name (the
-    /// cumulative sample the timeline subtracts into per-window
-    /// [`crate::histogram::HistogramCounts`] deltas).
-    pub fn histogram_counts(&self) -> Vec<(String, crate::histogram::HistogramCounts)> {
-        self.histograms
-            .read()
-            .unwrap()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.counts()))
-            .collect()
-    }
-
     /// Zero every metric, keeping registrations (benchmarks reset
     /// between phases so each approach reports its own numbers).
     pub fn reset(&self) {

@@ -131,45 +131,6 @@ pub fn generate(cfg: &FleetConfig) -> Vec<Record> {
     records
 }
 
-/// A live ingest feed over the fleet: the same deterministic,
-/// time-sorted record stream [`generate`] produces, delivered as
-/// arrival-ordered batches — what a telematics platform's collector
-/// hands the store every few seconds. Batches partition the stream
-/// exactly (no loss, no duplication), so a consumer that ingests every
-/// batch ends up with precisely `generate(cfg)`.
-pub struct FleetStream {
-    records: std::vec::IntoIter<Record>,
-    batch_size: usize,
-}
-
-impl FleetStream {
-    /// Build the feed. `batch_size` is clamped to at least 1.
-    pub fn new(cfg: &FleetConfig, batch_size: usize) -> Self {
-        FleetStream {
-            records: generate(cfg).into_iter(),
-            batch_size: batch_size.max(1),
-        }
-    }
-
-    /// Records not yet emitted.
-    pub fn remaining(&self) -> usize {
-        self.records.len()
-    }
-}
-
-impl Iterator for FleetStream {
-    type Item = Vec<Record>;
-
-    fn next(&mut self) -> Option<Vec<Record>> {
-        let batch: Vec<Record> = self.records.by_ref().take(self.batch_size).collect();
-        if batch.is_empty() {
-            None
-        } else {
-            Some(batch)
-        }
-    }
-}
-
 fn pick_hotspot(rng: &mut StdRng) -> GeoPoint {
     let total: f64 = HOTSPOTS.iter().map(|h| h.2).sum();
     let mut x = rng.gen_range(0.0..total);
@@ -363,22 +324,6 @@ mod tests {
         assert!(recs.iter().all(|r| r.field_count() == 75));
         let d = recs[0].to_document();
         assert_eq!(d.len(), 75);
-    }
-
-    #[test]
-    fn stream_partitions_the_generated_set_exactly() {
-        let cfg = small_cfg();
-        let full = generate(&cfg);
-        let mut stream = FleetStream::new(&cfg, 1_024);
-        assert_eq!(stream.remaining(), full.len());
-        let batches: Vec<Vec<Record>> = stream.by_ref().collect();
-        assert_eq!(stream.remaining(), 0);
-        // 5000 records in 1024-record batches: four full + one runt.
-        assert_eq!(batches.len(), 5);
-        assert!(batches[..4].iter().all(|b| b.len() == 1_024));
-        assert_eq!(batches[4].len(), 5_000 - 4 * 1_024);
-        let streamed: Vec<Record> = batches.into_iter().flatten().collect();
-        assert_eq!(streamed, full, "no lost, duplicated or reordered records");
     }
 
     #[test]

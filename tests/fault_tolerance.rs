@@ -11,7 +11,7 @@
 mod support;
 
 use std::time::Duration;
-use sts::cluster::{FailPoint, FailPointMode, RecoveryPolicy, ShardRecovery};
+use sts::cluster::{FailPoint, FailPointMode, QueryExecOptions, RecoveryPolicy, ShardRecovery};
 use sts::core::{Approach, QueryError, StQuery, StStore};
 use sts::document::{DateTime, Document};
 use sts::workload::chaos::{default_profile, scenarios, ChaosConfig};
@@ -233,6 +233,43 @@ fn fail_fast_policy_documents_what_recovery_buys() {
         }
     }
     assert!(dropped);
+}
+
+/// `QueryExecOptions::recovery` overrides the store's policy for one
+/// query: under fail-fast a dead primary drops its shard, while the
+/// default policy passed per query hedges to the replica and returns
+/// the full-scan answer.
+#[test]
+fn per_query_recovery_override_rescues_a_fail_fast_store() {
+    let docs = corpus();
+    let oracle = Oracle::new(docs.clone());
+    let shard = NUM_SHARDS / 2;
+    let mut store = store_for(Approach::Hil, &docs, R_MBR, NUM_SHARDS);
+    store.set_recovery_policy(RecoveryPolicy::fail_fast());
+    store.arm_failpoint("drill", FailPoint::hard_failure(shard));
+    let mut targeted_any = false;
+    for q in workload() {
+        let filter = store.filter_for(&q);
+        let (_, plain) = store
+            .cluster()
+            .query_exec(&filter, QueryExecOptions::default());
+        if !plain.per_shard.iter().any(|s| s.shard == shard) {
+            continue;
+        }
+        targeted_any = true;
+        assert!(plain.partial, "fail-fast drops the dead shard");
+        let (got, rescued) = store.cluster().query_exec(
+            &filter,
+            QueryExecOptions {
+                route: None,
+                recovery: Some(RecoveryPolicy::default()),
+            },
+        );
+        assert!(!rescued.partial, "the override hedges to the replica");
+        assert_eq!(result_id_set(&got), oracle.id_set(&q), "{q:?}");
+        assert_eq!(rescued.total_hedges(), 1, "exactly the dead shard hedges");
+    }
+    assert!(targeted_any, "workload never targeted the dead shard");
 }
 
 #[test]

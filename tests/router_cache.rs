@@ -1,16 +1,11 @@
-//! Router-tier integration tests: covering-plan cache identity,
-//! result-page cache correctness, executor metric attribution, and
-//! admission control.
+//! Router-tier integration tests: covering-plan cache reuse,
+//! result-page cache correctness and executor metric attribution.
 
 mod support;
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
-use sts::core::{
-    AdmissionConfig, Approach, CacheOutcome, PlanCache, RouterConfig, ShedReason, SloPolicy,
-    StQuery, StStore, StoreConfig, TimelineConfig,
-};
-use sts::curve::CurveFamily;
+use sts::core::{Approach, CacheOutcome, RouterConfig, StQuery, StStore, StoreConfig};
 use sts::document::{doc, DateTime, Document, Value};
 use sts::geo::GeoRect;
 use sts::obs::Registry;
@@ -47,19 +42,15 @@ fn grid_corpus(n_side: u32, id_base: u32) -> Vec<Document> {
     docs
 }
 
-/// A corpus clustered tightly in one corner — fitting SkewGeoHash on
-/// it produces very different bucket boundaries than the even grid.
-fn clustered_corpus(n: u32, id_base: u32) -> Vec<Document> {
-    (0..n)
-        .map(|i| {
-            point(
-                id_base + i,
-                20.1 + f64::from(i % 37) * 0.02,
-                35.1 + f64::from(i % 41) * 0.02,
-                i64::from(i) * 50_000,
-            )
-        })
-        .collect()
+/// Held by every test in this file: the other tests' stores record into
+/// the process-global registry, and a query they ran concurrently would
+/// move the global counter the metric-attribution test compares.
+static GLOBAL_REGISTRY: Mutex<()> = Mutex::new(());
+
+fn global_registry_lock() -> MutexGuard<'static, ()> {
+    GLOBAL_REGISTRY
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 fn q() -> StQuery {
@@ -70,77 +61,12 @@ fn q() -> StQuery {
     }
 }
 
-/// Satellite: two stores running SkewGeoHash fitted on *different*
-/// samples share one plan cache without ever sharing entries — the
-/// `Curve::fingerprint` key component (which folds the fitted bucket
-/// boundaries in) keeps them apart end to end.
-#[test]
-fn different_skewgeohash_fits_never_share_plan_entries() {
-    let corpus_a = grid_corpus(30, 0);
-    let corpus_b = clustered_corpus(900, 50_000);
-    let mut store_a = support::store_for_curve(
-        Approach::HilStar,
-        CurveFamily::SkewGeoHash,
-        &corpus_a,
-        MBR,
-        4,
-    );
-    let mut store_b = support::store_for_curve(
-        Approach::HilStar,
-        CurveFamily::SkewGeoHash,
-        &corpus_b,
-        MBR,
-        4,
-    );
-    let fp_a = store_a.curve().unwrap().fingerprint();
-    let fp_b = store_b.curve().unwrap().fingerprint();
-    assert_ne!(
-        fp_a, fp_b,
-        "different training samples must fit different curves"
-    );
-
-    // One shared cache fronting both stores.
-    let shared = Arc::new(PlanCache::new(1024, 8));
-    store_a.share_plan_cache(shared.clone());
-    store_b.share_plan_cache(shared.clone());
-
-    let query = q();
-    let (docs_a1, ra1) = store_a.st_query(&query);
-    let (docs_b1, rb1) = store_b.st_query(&query);
-    assert_eq!(ra1.router.plan_cache, CacheOutcome::Miss);
-    assert_eq!(
-        rb1.router.plan_cache,
-        CacheOutcome::Miss,
-        "store B must NOT hit store A's plan: the fits differ"
-    );
-    let counters = shared.counters();
-    assert_eq!(counters.misses, 2);
-    assert_eq!(counters.hits, 0);
-    assert_eq!(shared.len(), 2, "one entry per fingerprint");
-
-    // Re-running each query hits its own store's entry.
-    let (docs_a2, ra2) = store_a.st_query(&query);
-    let (docs_b2, rb2) = store_b.st_query(&query);
-    assert_eq!(ra2.router.plan_cache, CacheOutcome::Hit);
-    assert_eq!(rb2.router.plan_cache, CacheOutcome::Hit);
-    assert_eq!(shared.counters().hits, 2);
-
-    // And every run is exact against the brute-force oracle.
-    let oracle_a = Oracle::new(corpus_a);
-    let oracle_b = Oracle::new(corpus_b);
-    for docs in [&docs_a1, &docs_a2] {
-        assert_eq!(docs.len() as u64, oracle_a.count(&query));
-    }
-    for docs in [&docs_b1, &docs_b2] {
-        assert_eq!(docs.len() as u64, oracle_b.count(&query));
-    }
-}
-
 /// Satellite: work executed by the shard executor's worker threads —
 /// including stolen work — lands in the *owning store's* scoped
 /// registry, never in the process-global one.
 #[test]
 fn executor_metrics_land_in_the_owning_stores_registry() {
+    let _serial = global_registry_lock();
     let corpus = grid_corpus(25, 0);
     let mut store = support::store_for(Approach::Hil, &corpus, MBR, 4);
     let private = Arc::new(Registry::new());
@@ -178,6 +104,7 @@ fn executor_metrics_land_in_the_owning_stores_registry() {
 /// stay exact throughout.
 #[test]
 fn plan_cache_reuses_coverings_and_refreshes_stale_routes() {
+    let _serial = global_registry_lock();
     let corpus = grid_corpus(30, 0);
     let mut store = support::store_for(Approach::Hil, &corpus, MBR, 4);
     let oracle = Oracle::new(corpus);
@@ -217,6 +144,7 @@ fn plan_cache_reuses_coverings_and_refreshes_stale_routes() {
 /// batch commit, delete — invalidates affected entries.
 #[test]
 fn result_cache_serves_pages_and_never_goes_stale() {
+    let _serial = global_registry_lock();
     let corpus = grid_corpus(20, 0);
     let mut store = StStore::new(StoreConfig {
         approach: Approach::Hil,
@@ -297,116 +225,11 @@ fn result_cache_serves_pages_and_never_goes_stale() {
     assert_eq!(docs7.len(), docs6.len() - removed as usize);
 }
 
-/// Admission control: per-tenant token buckets shed the tenant that
-/// exhausts its burst (zero refill keeps the test deterministic),
-/// while other tenants keep flowing.
-#[test]
-fn admission_sheds_tenants_over_budget() {
-    let corpus = grid_corpus(12, 0);
-    let mut store = StStore::new(StoreConfig {
-        approach: Approach::Hil,
-        num_shards: 4,
-        data_mbr: MBR,
-        router: RouterConfig {
-            admission: AdmissionConfig {
-                enabled: true,
-                tenant_burst: 3.0,
-                tenant_rate_per_sec: 0.0,
-                ..AdmissionConfig::default()
-            },
-            ..RouterConfig::default()
-        },
-        ..Default::default()
-    });
-    store.bulk_load(corpus).unwrap();
-    let query = q();
-
-    for _ in 0..3 {
-        store
-            .st_query_admitted("greedy", &query)
-            .expect("burst budget admits");
-    }
-    let shed = store
-        .st_query_admitted("greedy", &query)
-        .expect_err("the 4th query must shed");
-    assert_eq!(shed.reason, ShedReason::TenantBudget);
-    assert_eq!(shed.tenant, "greedy");
-    assert_eq!(store.shed_count(), 1);
-    // Other tenants have their own bucket.
-    store
-        .st_query_admitted("frugal", &query)
-        .expect("other tenants are unaffected");
-}
-
-/// Latency-budget policy: with the ledger's p99 over the budget, a low
-/// SLO burn rate escalates to hedged reads; a high burn rate sheds.
-/// Every decision is a timeline event.
-#[test]
-fn latency_budget_hedges_on_low_burn_and_sheds_on_high() {
-    let build = |slo_threshold: Duration| {
-        let corpus = grid_corpus(12, 0);
-        let mut store = StStore::new(StoreConfig {
-            approach: Approach::Hil,
-            num_shards: 4,
-            data_mbr: MBR,
-            router: RouterConfig {
-                admission: AdmissionConfig {
-                    enabled: true,
-                    // Every real query's p99 exceeds 1 ns.
-                    latency_budget: Duration::from_nanos(1),
-                    shed_burn_threshold: 2.0,
-                    min_observations: 1,
-                    ..AdmissionConfig::default()
-                },
-                ..RouterConfig::default()
-            },
-            ..Default::default()
-        });
-        store.bulk_load(corpus).unwrap();
-        store.enable_timeline(
-            TimelineConfig::default(),
-            Some(SloPolicy::p99("query.total", slo_threshold)),
-        );
-        // Prime the health ledger + seal SLO windows.
-        for _ in 0..4 {
-            store.st_query(&q());
-        }
-        store
-    };
-
-    // SLO threshold far above any latency → zero bad events → burn 0
-    // → over-budget p99 escalates to a hedge, not a shed.
-    let store = build(Duration::from_secs(3600));
-    let (_, report) = store
-        .st_query_admitted("tenant", &q())
-        .expect("low burn hedges instead of shedding");
-    assert!(report.router.hedged_by_policy);
-    assert_eq!(store.hedge_count(), 1);
-    assert_eq!(store.shed_count(), 0);
-
-    // SLO threshold of zero → every event is bad → burn = 1/budget ≫ 2
-    // → the over-budget p99 sheds.
-    let store = build(Duration::ZERO);
-    let shed = store
-        .st_query_admitted("tenant", &q())
-        .expect_err("high burn must shed");
-    assert_eq!(shed.reason, ShedReason::LatencyBudget);
-    assert_eq!(store.shed_count(), 1);
-    // Both decisions are visible on the timeline as events.
-    let (timeline, _) = store.finish_timeline().expect("timeline was on");
-    assert!(
-        timeline
-            .windows()
-            .flat_map(|w| w.events.iter())
-            .any(|e| e.kind == "router.shed"),
-        "sheds must be recorded as timeline events"
-    );
-}
-
 /// `st_explain` surfaces the cache counters next to the per-query
 /// outcomes.
 #[test]
 fn explain_surfaces_router_tier() {
+    let _serial = global_registry_lock();
     let corpus = grid_corpus(12, 0);
     let mut store = StStore::new(StoreConfig {
         approach: Approach::Hil,
