@@ -14,9 +14,8 @@ pub mod obsreport;
 use serde::Serialize;
 use std::time::Duration;
 use sts_core::{Approach, StQuery, StStore, StoreConfig};
-use sts_curve::CurveFamily;
 use sts_document::DateTime;
-use sts_geo::{GeoPoint, GeoRect};
+use sts_geo::GeoRect;
 use sts_workload::fleet::{self, FleetConfig};
 use sts_workload::queries::{paper_query, QuerySize};
 use sts_workload::synth::{self, SynthConfig};
@@ -50,8 +49,6 @@ pub struct HarnessConfig {
     pub num_shards: usize,
     /// Seed for data generation.
     pub seed: u64,
-    /// Curve family the curve-based approaches run on (`--curve`).
-    pub curve: CurveFamily,
     /// Query repetitions measured (paper: 30 runs, last 10 averaged).
     pub warmup_runs: usize,
     /// Measured repetitions after warm-up.
@@ -64,7 +61,6 @@ impl Default for HarnessConfig {
             scale: sts_workload::DEFAULT_SCALE,
             num_shards: 12,
             seed: 0x5137_2021,
-            curve: CurveFamily::default(),
             warmup_runs: 2,
             measured_runs: 5,
         }
@@ -108,10 +104,6 @@ impl HarnessConfig {
                 cfg.num_shards = v.parse().expect("--shards takes an integer");
             } else if let Some(v) = grab("--seed") {
                 cfg.seed = v.parse().expect("--seed takes an integer");
-            } else if let Some(v) = grab("--curve") {
-                cfg.curve = v
-                    .parse()
-                    .expect("--curve takes hilbert|zorder|onion|skewgh");
             } else if let Some(v) = grab("--runs") {
                 cfg.measured_runs = v.parse().expect("--runs takes an integer");
             } else {
@@ -152,23 +144,8 @@ pub fn dataset_mbr(dataset: Dataset) -> sts_geo::GeoRect {
     }
 }
 
-/// Deterministic curve-fitting sample from the generated records: an
-/// even stride capped at 2048 points. The skew-adaptive GeoHash needs a
-/// sketch of the spatial distribution, not the full corpus; the
-/// analytic families ignore the sample entirely.
-pub fn curve_training_sample(records: &[Record]) -> Vec<GeoPoint> {
-    let stride = (records.len() / 2048).max(1);
-    records
-        .iter()
-        .step_by(stride)
-        .map(|r| GeoPoint::new(r.lon, r.lat))
-        .collect()
-}
-
 /// Deploy a store for `approach` on `dataset` and load `records`
-/// (optionally applying §4.2.4 zones afterwards). The curve-based
-/// approaches run on `cfg.curve`, fitted against a stride sample of
-/// the records when the family is data-adaptive.
+/// (optionally applying §4.2.4 zones afterwards).
 pub fn build_store(
     approach: Approach,
     dataset: Dataset,
@@ -181,8 +158,6 @@ pub fn build_store(
         num_shards: cfg.num_shards,
         max_chunk_bytes: cfg.max_chunk_bytes(),
         data_mbr: dataset_mbr(dataset),
-        curve: cfg.curve,
-        curve_sample: curve_training_sample(records),
         ..Default::default()
     });
     store
@@ -395,24 +370,7 @@ mod tests {
             HarnessConfig::from_args(&args(&["--scale", "0.5", "--shards=6", "--fig", "13"]));
         assert_eq!(cfg.scale, 0.5);
         assert_eq!(cfg.num_shards, 6);
-        assert_eq!(cfg.curve, CurveFamily::Hilbert, "default curve");
         assert_eq!(rest, args(&["--fig", "13"]));
-        let (cfg, rest) = HarnessConfig::from_args(&args(&["--curve=onion"]));
-        assert_eq!(cfg.curve, CurveFamily::Onion);
-        assert!(rest.is_empty());
-    }
-
-    #[test]
-    fn training_sample_is_strided_and_capped() {
-        let cfg = HarnessConfig {
-            scale: 0.002,
-            ..Default::default()
-        };
-        let records = dataset_records(Dataset::R, &cfg, 1);
-        let sample = curve_training_sample(&records);
-        assert!(!sample.is_empty());
-        assert!(sample.len() <= 4096, "sample stays bounded");
-        assert_eq!(sample, curve_training_sample(&records), "deterministic");
     }
 
     #[test]

@@ -67,8 +67,6 @@ pub struct ApproachObservability {
 pub struct ObsReport {
     /// Queries each approach ran.
     pub queries: usize,
-    /// Curve family the curve-based approaches ran on.
-    pub curve: String,
     /// Whether the clustered hot-window workload was used.
     pub clustered: bool,
     /// Profiler threshold used.
@@ -115,7 +113,6 @@ impl ObsReport {
             .collect();
         ObsReport {
             queries: cfg.queries,
-            curve: harness.curve.name().to_string(),
             clustered: cfg.clustered,
             threshold: cfg.threshold,
             approaches,
@@ -141,10 +138,9 @@ impl ObsReport {
         };
         let _ = writeln!(
             out,
-            "cluster observability — {} queries/approach ({workload} workload, {} curve), \
+            "cluster observability — {} queries/approach ({workload} workload), \
              profiler threshold {} µs",
             self.queries,
-            self.curve,
             self.threshold.as_micros()
         );
         let _ = writeln!(
@@ -338,7 +334,6 @@ impl ObsReport {
         let doc = Json::Obj(vec![
             ("schema".into(), Json::Str("sts-obsreport/1".into())),
             ("queries".into(), Json::UInt(self.queries as u64)),
-            ("curve".into(), Json::Str(self.curve.clone())),
             ("clustered".into(), Json::Bool(self.clustered)),
             (
                 "thresholdMicros".into(),

@@ -16,7 +16,7 @@ use sts_btree::SizeReport;
 use sts_document::{encoded_size, Document, Value};
 use sts_index::{IndexField, IndexSpec};
 use sts_obs::Registry;
-use sts_query::{ExecutionStats, Filter, Planner, QueryError, QueryShape};
+use sts_query::{ExecutionStats, Filter, Planner, QueryShape};
 use sts_storage::CollectionStats;
 
 /// Cluster-wide configuration.
@@ -242,12 +242,6 @@ impl Cluster {
         }
     }
 
-    /// Replace the executor tunables (takes effect on the next query).
-    pub fn set_executor_config(&mut self, config: ExecutorConfig) {
-        self.config.executor = config;
-        self.executor.set_config(config);
-    }
-
     /// Cumulative executor counters: tasks, inline fan-outs, helper-run tasks.
     pub fn executor_stats(&self) -> ExecutorStats {
         self.executor.stats()
@@ -379,20 +373,6 @@ impl Cluster {
             self.balance();
         }
         Ok(())
-    }
-
-    /// Bulk insertion in batches (the paper loads with 15k-document
-    /// batches, §A.1 — batching here just amortizes the balancer checks).
-    pub fn bulk_insert<I: IntoIterator<Item = Document>>(
-        &mut self,
-        docs: I,
-    ) -> Result<u64, String> {
-        let mut n = 0u64;
-        for doc in docs {
-            self.insert(&doc)?;
-            n += 1;
-        }
-        Ok(n)
     }
 
     /// The committed epoch — the snapshot queries starting now read at.
@@ -1008,16 +988,6 @@ impl Cluster {
         (docs, report)
     }
 
-    /// Like [`Cluster::query`], but an abandoned shard is an error
-    /// instead of a silently partial result set.
-    pub fn try_query(
-        &self,
-        filter: &Filter,
-    ) -> Result<(Vec<Document>, ClusterQueryReport), QueryError> {
-        let (docs, report) = self.query(filter);
-        check_complete(report).map(|report| (docs, report))
-    }
-
     /// Route, scatter, execute, shape: every shard returns its own
     /// sorted top-k, the router merge-shapes the union — distributed
     /// top-k semantics.
@@ -1045,16 +1015,6 @@ impl Cluster {
         (docs, report)
     }
 
-    /// Like [`Cluster::query_with_options`], erroring on partial results.
-    pub fn try_query_with_options(
-        &self,
-        filter: &Filter,
-        options: &sts_query::FindOptions,
-    ) -> Result<(Vec<Document>, ClusterQueryReport), QueryError> {
-        let (docs, report) = self.query_with_options(filter, options);
-        check_complete(report).map(|report| (docs, report))
-    }
-
     /// Delete every document matching `filter` across the targeted
     /// shards, keeping indexes and chunk counters consistent. Returns
     /// the number removed.
@@ -1076,37 +1036,6 @@ impl Cluster {
             c.bytes = c.bytes.saturating_sub(encoded_size(d) as u64);
         }
         removed_docs.len() as u64
-    }
-
-    /// Distributed aggregation: `$match` + `$group` scattered to the
-    /// targeted shards; partials merge exactly at the router.
-    pub fn aggregate(
-        &self,
-        filter: &Filter,
-        spec: &sts_query::GroupBy,
-    ) -> (Vec<Document>, ClusterQueryReport) {
-        let (partials, mut report) =
-            self.scatter_gather(filter, QueryExecOptions::default(), |sid, _| {
-                sts_query::aggregate_local(self.shards[sid].collection(), filter, spec)
-            });
-        let merge_start = Instant::now();
-        let mut merged = sts_query::PartialAggregation::default();
-        for partial in partials {
-            merged.merge(partial);
-        }
-        let docs = merged.finalize(spec);
-        finish_merge(&self.obs, &mut report, merge_start.elapsed());
-        (docs, report)
-    }
-
-    /// Like [`Cluster::aggregate`], erroring on partial results.
-    pub fn try_aggregate(
-        &self,
-        filter: &Filter,
-        spec: &sts_query::GroupBy,
-    ) -> Result<(Vec<Document>, ClusterQueryReport), QueryError> {
-        let (docs, report) = self.aggregate(filter, spec);
-        check_complete(report).map(|report| (docs, report))
     }
 
     /// Aggregated collection statistics (Table 6).
@@ -1173,17 +1102,6 @@ fn finish_merge(obs: &Registry, report: &mut ClusterQueryReport, merge: Duration
     report.wall += merge;
     obs.record("router.merge", merge);
     obs.record("router.wall", report.wall);
-}
-
-/// Turn a partial gather into `QueryError::ShardsUnavailable`.
-fn check_complete(report: ClusterQueryReport) -> Result<ClusterQueryReport, QueryError> {
-    if report.partial {
-        Err(QueryError::ShardsUnavailable {
-            shards: report.failed_shards(),
-        })
-    } else {
-        Ok(report)
-    }
 }
 
 /// Bytes sorting strictly after every key whose leading value is `v`.

@@ -7,7 +7,7 @@ use crate::query::{assemble_filter, build_filter_with, compute_covering, CoverBu
 use crate::report::QueryReport;
 use crate::router::{
     CacheCounters, CacheOutcome, PlanCache, PlanEntry, PlanKey, ResultCache, ResultEntry,
-    ResultKey, RouterConfig, RouterReport,
+    ResultKey, RouterReport,
 };
 use crate::{HILBERT_FIELD, LOCATION_FIELD};
 use std::sync::{Arc, Mutex};
@@ -16,7 +16,7 @@ use sts_cluster::{
     Cluster, ClusterConfig, ClusterQueryReport, ExecutorStats, FailPoint, HealthSnapshot,
     QueryExecOptions, RecoveryPolicy, RoutePlan,
 };
-use sts_curve::Curve;
+use sts_curve::CurveGrid;
 use sts_document::Document;
 use sts_index::geo_point_of;
 use sts_obs::{Registry, Trace, TraceId};
@@ -26,13 +26,13 @@ use sts_storage::CollectionStats;
 /// A deployed spatio-temporal store: one approach, one sharded cluster.
 pub struct StStore {
     config: StoreConfig,
-    curve: Option<Arc<dyn Curve>>,
+    curve: Option<CurveGrid>,
     /// The active curve's fingerprint, cached at deploy time — the
     /// plan/result cache key component identifying the exact fit.
     fingerprint: Option<u64>,
     cluster: Cluster,
     profiler: Profiler,
-    /// Reusable Hilbert-decomposition buffers (block-list scratch +
+    /// Reusable Hilbert-decomposition buffers (covering scratch +
     /// covering list). Queries take `&self`, hence the mutex; it is
     /// uncontended in the single-router simulator.
     cover: Mutex<CoverBuffers>,
@@ -55,12 +55,9 @@ struct PlannedQuery {
 impl StStore {
     /// Deploy a fresh (empty) store for the configured approach.
     pub fn new(config: StoreConfig) -> Self {
-        let curve = config.approach.curve_for(
-            config.curve,
-            config.curve_order,
-            &config.data_mbr,
-            &config.curve_sample,
-        );
+        let curve = config
+            .approach
+            .curve(config.curve, config.curve_order, &config.data_mbr);
         let cluster = Cluster::new(
             ClusterConfig {
                 num_shards: config.num_shards,
@@ -74,7 +71,7 @@ impl StStore {
             config.approach.shard_key(),
             config.approach.index_specs(config.geo_bits),
         );
-        let fingerprint = curve.as_ref().map(|c| c.fingerprint());
+        let fingerprint = curve.map(|c| c.fingerprint());
         let router = config.router;
         StStore {
             config,
@@ -88,25 +85,6 @@ impl StStore {
             result_cache: (router.result_cache_entries > 0)
                 .then(|| ResultCache::new(router.result_cache_entries, router.plan_cache_shards)),
         }
-    }
-
-    /// Replace the router-tier configuration: caches are rebuilt empty
-    /// at the new sizes and the executor retuned.
-    pub fn set_router_config(&mut self, router: RouterConfig) {
-        self.config.router = router;
-        self.plan_cache = (router.plan_cache_entries > 0)
-            .then(|| PlanCache::new(router.plan_cache_entries, router.plan_cache_shards));
-        self.result_cache = (router.result_cache_entries > 0)
-            .then(|| ResultCache::new(router.result_cache_entries, router.plan_cache_shards));
-        self.cluster.set_executor_config(router.executor);
-    }
-
-    /// Plan-cache counters (zeroed `CacheCounters` when disabled).
-    pub fn plan_cache_counters(&self) -> CacheCounters {
-        self.plan_cache
-            .as_ref()
-            .map(|c| c.counters())
-            .unwrap_or_default()
     }
 
     /// Result-cache counters (zeroed `CacheCounters` when disabled).
@@ -141,7 +119,7 @@ impl StStore {
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             build_filter_with(
                 query,
-                self.curve.as_deref(),
+                self.curve.as_ref(),
                 self.config.range_budget,
                 &mut cover,
             )
@@ -220,7 +198,7 @@ impl StStore {
             };
         }
         obs.counter("router.plancache.miss").inc();
-        let (ranges, hilbert_time) = match self.curve.as_deref() {
+        let (ranges, hilbert_time) = match self.curve.as_ref() {
             None => (Arc::new(Vec::new()), Duration::ZERO),
             Some(grid) => {
                 let mut cover = self
@@ -331,8 +309,8 @@ impl StStore {
     }
 
     /// The active curve (curve-based methods only).
-    pub fn curve(&self) -> Option<&dyn Curve> {
-        self.curve.as_deref()
+    pub fn curve(&self) -> Option<&CurveGrid> {
+        self.curve.as_ref()
     }
 
     /// The underlying cluster (read access for diagnostics).
@@ -611,7 +589,7 @@ impl StStore {
                 polygon,
                 t0,
                 t1,
-                self.curve.as_deref(),
+                self.curve.as_ref(),
                 self.config.range_budget,
                 &mut cover,
             )
@@ -662,27 +640,6 @@ impl StStore {
             router: planned.router,
         };
         self.observe_query(QueryKind::TopK, *query, &report);
-        (docs, report)
-    }
-
-    /// Distributed `$group` aggregation over a spatio-temporal query —
-    /// the analytical workloads of §1 (fuel consumption, movement
-    /// patterns) run through this.
-    pub fn st_aggregate(
-        &self,
-        query: &StQuery,
-        spec: &sts_query::GroupBy,
-    ) -> (Vec<Document>, QueryReport) {
-        let planned = self.plan_query(query);
-        let (docs, cluster) = self.cluster.aggregate(&planned.filter, spec);
-        let report = QueryReport {
-            cluster,
-            hilbert_time: planned.hilbert_time,
-            hilbert_ranges: planned.hilbert_ranges,
-            curve_fingerprint: self.fingerprint,
-            router: planned.router,
-        };
-        self.observe_query(QueryKind::Aggregate, *query, &report);
         (docs, report)
     }
 

@@ -2,10 +2,9 @@
 
 use crate::{DATE_FIELD, HILBERT_FIELD, LOCATION_FIELD};
 use std::fmt;
-use std::sync::Arc;
 use sts_cluster::ShardKey;
-use sts_curve::{Curve, CurveFamily, CurveGrid};
-use sts_geo::{GeoPoint, GeoRect, WORLD};
+use sts_curve::{CurveGrid, CurveKind};
+use sts_geo::{GeoRect, WORLD};
 use sts_index::{IndexField, IndexSpec};
 
 /// Which indexing + sharding method the store runs.
@@ -95,32 +94,14 @@ impl Approach {
 
     /// The curve grid for the Hilbert methods; `None` for the baselines.
     ///
-    /// `data_mbr` is only consulted by `hil*` (§5.1: "the applied
-    /// Hilbert curve is limited to the spatial region of the data set").
-    pub fn curve(self, order: u32, data_mbr: &GeoRect) -> Option<CurveGrid> {
+    /// `hil` lays the `kind` curve over the world, `hil*` over
+    /// `data_mbr` (§5.1: "the applied Hilbert curve is limited to the
+    /// spatial region of the data set").
+    pub fn curve(self, kind: CurveKind, order: u32, data_mbr: &GeoRect) -> Option<CurveGrid> {
         match self {
             Approach::BslST | Approach::BslTS | Approach::StHash => None,
-            Approach::Hil => Some(CurveGrid::world(order)),
-            Approach::HilStar => Some(CurveGrid::fitted(*data_mbr, order)),
-        }
-    }
-
-    /// The pluggable-`family` generalization of [`Approach::curve`]:
-    /// `hil` builds the family over the world extent, `hil*` over the
-    /// data MBR, the baselines get `None`. `sample` feeds the
-    /// data-fitted families (skew GeoHash bucket boundaries) and is
-    /// ignored by the analytic ones.
-    pub fn curve_for(
-        self,
-        family: CurveFamily,
-        order: u32,
-        data_mbr: &GeoRect,
-        sample: &[GeoPoint],
-    ) -> Option<Arc<dyn Curve>> {
-        match self {
-            Approach::BslST | Approach::BslTS | Approach::StHash => None,
-            Approach::Hil => Some(family.build(&WORLD, order, sample)),
-            Approach::HilStar => Some(family.build(data_mbr, order, sample)),
+            Approach::Hil => Some(CurveGrid::new(WORLD, order, kind)),
+            Approach::HilStar => Some(CurveGrid::new(*data_mbr, order, kind)),
         }
     }
 
@@ -168,31 +149,19 @@ mod tests {
     #[test]
     fn curves_differ_by_extent() {
         let mbr = GeoRect::new(19.6, 34.9, 28.2, 41.8);
-        assert!(Approach::BslST.curve(13, &mbr).is_none());
-        let hil = Approach::Hil.curve(13, &mbr).unwrap();
-        let star = Approach::HilStar.curve(13, &mbr).unwrap();
-        assert_eq!(hil.extent(), &WORLD);
-        assert_eq!(star.extent(), &mbr);
-    }
-
-    #[test]
-    fn curve_for_spans_every_family() {
-        let mbr = GeoRect::new(19.6, 34.9, 28.2, 41.8);
-        for family in CurveFamily::ALL {
-            assert!(Approach::BslTS.curve_for(family, 13, &mbr, &[]).is_none());
-            let hil = Approach::Hil.curve_for(family, 13, &mbr, &[]).unwrap();
-            let star = Approach::HilStar.curve_for(family, 13, &mbr, &[]).unwrap();
-            assert_eq!(hil.family(), family);
+        for kind in CurveKind::ALL {
+            assert!(Approach::BslST.curve(kind, 13, &mbr).is_none());
+            let hil = Approach::Hil.curve(kind, 13, &mbr).unwrap();
+            let star = Approach::HilStar.curve(kind, 13, &mbr).unwrap();
+            assert_eq!(hil.kind(), kind);
             assert_eq!(hil.extent(), &WORLD);
             assert_eq!(star.extent(), &mbr);
         }
-        // The default family reproduces the legacy concrete grids.
-        let legacy = Approach::Hil.curve(13, &mbr).unwrap();
-        let traited = Approach::Hil
-            .curve_for(CurveFamily::Hilbert, 13, &mbr, &[])
-            .unwrap();
-        let p = GeoPoint::new(23.7, 37.9);
-        assert_eq!(legacy.index_of(p), traited.index_of(p));
+        // The default kind is the paper's Hilbert grid.
+        let hil = Approach::Hil.curve(CurveKind::default(), 13, &mbr);
+        assert_eq!(hil, Some(CurveGrid::world(13)));
+        let star = Approach::HilStar.curve(CurveKind::default(), 13, &mbr);
+        assert_eq!(star, Some(CurveGrid::fitted(mbr, 13)));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use crate::approach::Approach;
 use crate::router::RouterConfig;
 use sts_cluster::{LiveBalancerConfig, RecoveryPolicy};
-use sts_curve::{CurveFamily, RangeBudget};
+use sts_curve::{CurveKind, RangeBudget};
 use sts_geo::{GeoPoint, GeoRect};
 use sts_query::Planner;
 
@@ -19,14 +19,14 @@ pub struct StoreConfig {
     pub max_chunk_bytes: u64,
     /// Hilbert curve order, bits per axis (paper: 13).
     pub curve_order: u32,
-    /// Which curve family the curve-based approaches (`hil`/`hil*`) run
-    /// on. Defaults to Hilbert — the paper's configuration; the
-    /// alternatives (Z-order, onion, skew-adaptive GeoHash) plug into
-    /// the identical `hilbertIndex` key layout and shard-key machinery.
-    pub curve: CurveFamily,
-    /// Training sample for data-fitted curve families (skew GeoHash
-    /// bucket-boundary fitting). Ignored by the analytic families; an
-    /// empty sample degrades fitted families to uniform buckets.
+    /// Which curve the curve-based approaches (`hil`/`hil*`) run on.
+    /// Defaults to Hilbert — the paper's configuration; Z-order, the
+    /// curve the paper compares it against, plugs into the identical
+    /// `hilbertIndex` key layout and shard-key machinery.
+    pub curve: CurveKind,
+    /// A sample of the data's positions. Nothing reads it now; it is
+    /// kept for density-aware covering depth (ROADMAP item 1(a)), its
+    /// planned reader.
     pub curve_sample: Vec<GeoPoint>,
     /// GeoHash precision of 2dsphere index keys (MongoDB default 26).
     pub geo_bits: u32,
@@ -45,8 +45,7 @@ pub struct StoreConfig {
     pub fault_seed: u64,
     /// Live-balancer policy applied at every ingest-batch commit.
     pub balancer: LiveBalancerConfig,
-    /// Router tier: plan/result caching, the shard executor, and
-    /// admission control.
+    /// Router tier: plan/result caching and the shard executor.
     pub router: RouterConfig,
 }
 
@@ -57,7 +56,7 @@ impl Default for StoreConfig {
             num_shards: 12,
             max_chunk_bytes: 640 * 1024,
             curve_order: sts_curve::PAPER_CURVE_ORDER,
-            curve: CurveFamily::default(),
+            curve: CurveKind::default(),
             curve_sample: Vec::new(),
             geo_bits: sts_geo::DEFAULT_GEOHASH_BITS,
             // The paper's real data set MBR (§5.1) — a sensible default
@@ -83,7 +82,7 @@ mod tests {
         assert_eq!(c.num_shards, 12);
         assert_eq!(c.curve_order, 13);
         assert_eq!(c.geo_bits, 26);
-        assert_eq!(c.curve, CurveFamily::Hilbert);
+        assert_eq!(c.curve, CurveKind::Hilbert);
         assert!(c.curve_sample.is_empty());
     }
 }

@@ -33,8 +33,6 @@ pub enum QueryKind {
     Find,
     /// A query shaped by sort/limit options (distributed top-k).
     TopK,
-    /// A `$match` + `$group` aggregation.
-    Aggregate,
     /// A polygonal spatio-temporal query.
     Polygon,
 }
@@ -45,7 +43,6 @@ impl QueryKind {
         match self {
             QueryKind::Find => "find",
             QueryKind::TopK => "topk",
-            QueryKind::Aggregate => "aggregate",
             QueryKind::Polygon => "polygon",
         }
     }

@@ -2,7 +2,7 @@
 
 use crate::{DATE_FIELD, HILBERT_FIELD, LOCATION_FIELD};
 use std::time::{Duration, Instant};
-use sts_curve::{CoveringScratch, Curve, RangeBudget};
+use sts_curve::{CoveringScratch, CurveGrid, RangeBudget};
 use sts_document::{DateTime, Value};
 use sts_geo::GeoRect;
 use sts_query::Filter;
@@ -35,7 +35,7 @@ impl CoverBuffers {
 /// while filter assembly stays exact.
 pub fn compute_covering(
     rect: &GeoRect,
-    grid: &dyn Curve,
+    grid: &CurveGrid,
     budget: RangeBudget,
     cover: &mut CoverBuffers,
 ) -> Duration {
@@ -96,7 +96,7 @@ impl StQuery {
 /// quantity Table 8 reports) and the number of ranges produced.
 pub fn build_filter(
     query: &StQuery,
-    curve: Option<&dyn Curve>,
+    curve: Option<&CurveGrid>,
     budget: RangeBudget,
 ) -> (Filter, Duration, usize) {
     build_filter_with(query, curve, budget, &mut CoverBuffers::new())
@@ -107,7 +107,7 @@ pub fn build_filter(
 /// the covering computation itself allocates nothing after warm-up.
 pub fn build_filter_with(
     query: &StQuery,
-    curve: Option<&dyn Curve>,
+    curve: Option<&CurveGrid>,
     budget: RangeBudget,
     cover: &mut CoverBuffers,
 ) -> (Filter, Duration, usize) {
@@ -129,7 +129,7 @@ pub fn build_polygon_filter(
     polygon: &sts_geo::GeoPolygon,
     t0: DateTime,
     t1: DateTime,
-    curve: Option<&dyn Curve>,
+    curve: Option<&CurveGrid>,
     budget: RangeBudget,
 ) -> (Filter, Duration, usize) {
     build_polygon_filter_with(polygon, t0, t1, curve, budget, &mut CoverBuffers::new())
@@ -140,7 +140,7 @@ pub fn build_polygon_filter_with(
     polygon: &sts_geo::GeoPolygon,
     t0: DateTime,
     t1: DateTime,
-    curve: Option<&dyn Curve>,
+    curve: Option<&CurveGrid>,
     budget: RangeBudget,
     cover: &mut CoverBuffers,
 ) -> (Filter, Duration, usize) {
@@ -206,7 +206,6 @@ fn hilbert_clause(ranges: &[(u64, u64)]) -> Filter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sts_curve::CurveGrid;
     use sts_query::QueryShape;
 
     fn q() -> StQuery {
@@ -231,7 +230,7 @@ mod tests {
     #[test]
     fn hilbert_filter_carries_intervals() {
         let grid = CurveGrid::world(13);
-        let (f, _, n) = build_filter(&q(), Some(&grid as &dyn Curve), RangeBudget::default());
+        let (f, _, n) = build_filter(&q(), Some(&grid), RangeBudget::default());
         assert!(n >= 1);
         let shape = QueryShape::analyze(&f);
         let (path, ivs) = shape.int_intervals.expect("hilbert intervals");
@@ -248,7 +247,7 @@ mod tests {
             t0: DateTime::from_millis(0),
             t1: DateTime::from_millis(1),
         };
-        let (f, _, n) = build_filter(&far, Some(&grid as &dyn Curve), RangeBudget::default());
+        let (f, _, n) = build_filter(&far, Some(&grid), RangeBudget::default());
         assert_eq!(n, 0);
         let shape = QueryShape::analyze(&f);
         let (_, ivs) = shape.int_intervals.unwrap();

@@ -17,12 +17,11 @@ pub struct QueryReport {
     pub hilbert_time: Duration,
     /// Number of 1D ranges the decomposition produced.
     pub hilbert_ranges: usize,
-    /// Fingerprint of the exact fitted curve that served the query
-    /// (`Curve::fingerprint`; `None` for the curve-less baselines).
+    /// Fingerprint of the curve grid that served the query
+    /// (`CurveGrid::fingerprint`; `None` for the curve-less baselines).
     /// Surfaced in `explain()` and trace metadata so every report
-    /// identifies the curve geometry — and, for data-fitted curves,
-    /// the boundary fit — behind its covering; this is the plan-cache
-    /// key component the router tier will reuse.
+    /// identifies the curve kind and geometry behind its covering; it
+    /// is also a component of the router's plan-cache key.
     pub curve_fingerprint: Option<u64>,
     /// What the router tier did for this query: plan/result cache
     /// outcomes and routing reuse.

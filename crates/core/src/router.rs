@@ -136,19 +136,6 @@ pub struct CacheCounters {
     pub stale: u64,
 }
 
-impl CacheCounters {
-    /// Hit ratio over decided lookups (hits + misses + stale); `0.0`
-    /// before any lookup.
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses + self.stale;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 const NIL: usize = usize::MAX;
 
 struct LruSlot<K, V> {
@@ -381,9 +368,9 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
 // ---------------------------------------------------------------------
 
 /// Covering-plan cache key: the full identity of a covering plan. Two
-/// stores agree on an entry only when the approach, the *fitted* curve
-/// (fingerprint folds SkewGeoHash bucket boundaries in), the range
-/// budget and the quantized query window all match.
+/// stores agree on an entry only when the approach, the curve grid
+/// (its fingerprint: curve kind, order and extent), the range budget
+/// and the quantized query window all match.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct PlanKey {
     approach: u8,

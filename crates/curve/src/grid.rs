@@ -1,83 +1,24 @@
 //! A space-filling curve laid over a lon/lat extent.
 
-use crate::curve::{Curve, CurveFamily};
 use crate::hilbert;
 use crate::ranges::{decompose_blocks_into, RangeBudget};
 use crate::zorder;
 use crate::CoveringScratch;
 use sts_geo::{GeoPoint, GeoRect, WORLD};
 
-/// Shared constructor validation for uniform-grid curves.
-pub(crate) fn validate_grid(extent: &GeoRect, order: u32) {
-    assert!(extent.is_valid(), "invalid grid extent {extent:?}");
-    assert!(
-        extent.lon_span() > 0.0 && extent.lat_span() > 0.0,
-        "degenerate grid extent {extent:?}"
-    );
-    assert!(
-        (1..=hilbert::MAX_ORDER).contains(&order),
-        "unsupported curve order {order}"
-    );
-}
-
-/// Cell containing `p` on a uniform `2^order` grid over `extent`
-/// (out-of-extent points clamp to the border cells).
-pub(crate) fn cell_of_uniform(extent: &GeoRect, order: u32, p: GeoPoint) -> (u64, u64) {
-    let n = 1u64 << order;
-    let fx = (p.lon - extent.min_lon) / extent.lon_span();
-    let fy = (p.lat - extent.min_lat) / extent.lat_span();
-    let clamp = |f: f64| -> u64 {
-        let v = (f * n as f64).floor();
-        if v < 0.0 {
-            0
-        } else if v >= n as f64 {
-            n - 1
-        } else {
-            v as u64
-        }
-    };
-    (clamp(fx), clamp(fy))
-}
-
-/// Geographic bounding box of cell `(x, y)` on a uniform grid.
-pub(crate) fn cell_rect_uniform(extent: &GeoRect, order: u32, x: u64, y: u64) -> GeoRect {
-    let n = (1u64 << order) as f64;
-    let w = extent.lon_span() / n;
-    let h = extent.lat_span() / n;
-    GeoRect::new(
-        extent.min_lon + x as f64 * w,
-        extent.min_lat + y as f64 * h,
-        extent.min_lon + (x as f64 + 1.0) * w,
-        extent.min_lat + (y as f64 + 1.0) * h,
-    )
-}
-
-/// The grid-cell span overlapping `rect` on a uniform grid, or `None`
-/// when the rectangle misses the extent entirely.
-pub(crate) fn cell_span_uniform(
-    extent: &GeoRect,
-    order: u32,
-    rect: &GeoRect,
-) -> Option<(u64, u64, u64, u64)> {
-    if !rect.intersects(extent) {
-        return None;
-    }
-    let lo = cell_of_uniform(extent, order, GeoPoint::new(rect.min_lon, rect.min_lat));
-    // The closed upper boundary belongs to the previous cell when it
-    // falls exactly on a grid line and the rect is non-degenerate;
-    // clamping inside `cell_of_uniform` already handles the extent
-    // border.
-    let hi = cell_of_uniform(extent, order, GeoPoint::new(rect.max_lon, rect.max_lat));
-    Some((lo.0, hi.0, lo.1, hi.1))
-}
-
 /// Which curve orders the grid cells.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Hash)]
 pub enum CurveKind {
     /// Hilbert curve — the paper's choice (§4.2).
+    #[default]
     Hilbert,
     /// Z-order (Morton) — the comparison baseline.
     ZOrder,
+}
+
+impl CurveKind {
+    /// Both curves, the paper's Hilbert first.
+    pub const ALL: [CurveKind; 2] = [CurveKind::Hilbert, CurveKind::ZOrder];
 }
 
 /// A `2^order × 2^order` grid over `extent`, each cell addressed by its
@@ -108,7 +49,15 @@ impl CurveGrid {
 
     /// Fully custom grid.
     pub fn new(extent: GeoRect, order: u32, kind: CurveKind) -> Self {
-        validate_grid(&extent, order);
+        assert!(extent.is_valid(), "invalid grid extent {extent:?}");
+        assert!(
+            extent.lon_span() > 0.0 && extent.lat_span() > 0.0,
+            "degenerate grid extent {extent:?}"
+        );
+        assert!(
+            (1..=hilbert::MAX_ORDER).contains(&order),
+            "unsupported curve order {order}"
+        );
         CurveGrid {
             extent,
             order,
@@ -145,7 +94,22 @@ impl CurveGrid {
     /// extent clamp to the border cells, like MongoDB clamps GeoHash
     /// inputs at the domain edge).
     pub fn cell_of(&self, p: GeoPoint) -> (u64, u64) {
-        cell_of_uniform(&self.extent, self.order, p)
+        let n = self.cells_per_axis();
+        let clamp = |f: f64| -> u64 {
+            let v = (f * n as f64).floor();
+            if v < 0.0 {
+                0
+            } else if v >= n as f64 {
+                n - 1
+            } else {
+                v as u64
+            }
+        };
+        let e = &self.extent;
+        (
+            clamp((p.lon - e.min_lon) / e.lon_span()),
+            clamp((p.lat - e.min_lat) / e.lat_span()),
+        )
     }
 
     /// The 1D curve index of the cell containing `p` — the value stored
@@ -173,13 +137,31 @@ impl CurveGrid {
 
     /// Geographic bounding box of a grid cell.
     pub fn cell_rect(&self, x: u64, y: u64) -> GeoRect {
-        cell_rect_uniform(&self.extent, self.order, x, y)
+        let e = &self.extent;
+        let n = self.cells_per_axis() as f64;
+        let w = e.lon_span() / n;
+        let h = e.lat_span() / n;
+        GeoRect::new(
+            e.min_lon + x as f64 * w,
+            e.min_lat + y as f64 * h,
+            e.min_lon + (x as f64 + 1.0) * w,
+            e.min_lat + (y as f64 + 1.0) * h,
+        )
     }
 
     /// The grid-cell span `[x0..=x1] × [y0..=y1]` overlapping `rect`,
     /// or `None` when the rectangle misses the extent entirely.
     pub fn cell_span(&self, rect: &GeoRect) -> Option<(u64, u64, u64, u64)> {
-        cell_span_uniform(&self.extent, self.order, rect)
+        if !rect.intersects(&self.extent) {
+            return None;
+        }
+        let lo = self.cell_of(GeoPoint::new(rect.min_lon, rect.min_lat));
+        // A closed upper edge that falls exactly on a grid line floors
+        // into the next cell, as a point on that line does in
+        // `cell_of`, so that cell must be covered too; at the extent
+        // border the clamp keeps it inside the grid.
+        let hi = self.cell_of(GeoPoint::new(rect.max_lon, rect.max_lat));
+        Some((lo.0, hi.0, lo.1, hi.1))
     }
 
     /// Decompose a query rectangle into sorted, merged, inclusive 1D
@@ -210,55 +192,30 @@ impl CurveGrid {
             decompose_blocks_into(self.order, self.kind, span, budget, scratch, out);
         }
     }
+
+    /// A stable fingerprint of the grid's geometry and curve, suitable
+    /// as a plan-cache key component: two grids with equal fingerprints
+    /// produce identical coverings for every rectangle. FNV-1a over the
+    /// curve kind's discriminant, the order and the extent's bits.
+    pub fn fingerprint(&self) -> u64 {
+        let e = &self.extent;
+        let mut h = fnv1a(0xcbf2_9ce4_8422_2325, self.kind as u64);
+        h = fnv1a(h, u64::from(self.order));
+        for v in [e.min_lon, e.min_lat, e.max_lon, e.max_lat] {
+            h = fnv1a(h, v.to_bits());
+        }
+        h
+    }
 }
 
-/// [`CurveGrid`] is the trait's reference implementation; the inherent
-/// methods above remain for callers holding a concrete grid.
-impl Curve for CurveGrid {
-    fn family(&self) -> CurveFamily {
-        match self.kind {
-            CurveKind::Hilbert => CurveFamily::Hilbert,
-            CurveKind::ZOrder => CurveFamily::ZOrder,
-        }
+/// One FNV-1a style mixing step over a `u64` word.
+fn fnv1a(state: u64, word: u64) -> u64 {
+    let mut h = state;
+    for b in word.to_le_bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
-
-    fn order(&self) -> u32 {
-        self.order
-    }
-
-    fn extent(&self) -> &GeoRect {
-        &self.extent
-    }
-
-    fn cell_of(&self, p: GeoPoint) -> (u64, u64) {
-        CurveGrid::cell_of(self, p)
-    }
-
-    fn index_of_cell(&self, x: u64, y: u64) -> u64 {
-        CurveGrid::index_of_cell(self, x, y)
-    }
-
-    fn cell_of_index(&self, d: u64) -> (u64, u64) {
-        CurveGrid::cell_of_index(self, d)
-    }
-
-    fn cell_rect(&self, x: u64, y: u64) -> GeoRect {
-        CurveGrid::cell_rect(self, x, y)
-    }
-
-    fn cell_span(&self, rect: &GeoRect) -> Option<(u64, u64, u64, u64)> {
-        CurveGrid::cell_span(self, rect)
-    }
-
-    fn decompose_cells_into(
-        &self,
-        span: (u64, u64, u64, u64),
-        budget: RangeBudget,
-        scratch: &mut CoveringScratch,
-        out: &mut Vec<(u64, u64)>,
-    ) {
-        decompose_blocks_into(self.order, self.kind, span, budget, scratch, out);
-    }
+    h
 }
 
 #[cfg(test)]
@@ -317,6 +274,27 @@ mod tests {
         let d = g.index_of(ATHENS);
         let (x, y) = g.cell_of_index(d);
         assert!(g.cell_rect(x, y).contains(ATHENS));
+    }
+
+    /// The fingerprint is a plan-cache key component and shows in
+    /// explain output as `curveFingerprint`, so its recipe must not
+    /// drift: these are the values of the `hil` and `hil*` grids and of
+    /// Z-order over the same two extents.
+    #[test]
+    fn fingerprints_are_pinned() {
+        let z = |extent| CurveGrid::new(extent, PAPER_CURVE_ORDER, CurveKind::ZOrder);
+        let pinned = [
+            (CurveGrid::world(PAPER_CURVE_ORDER), 0x1c2e_e53c_9281_3ec8),
+            (
+                CurveGrid::fitted(greece_mbr(), PAPER_CURVE_ORDER),
+                0x2b1e_58c4_97f6_6c1c,
+            ),
+            (z(WORLD), 0xb8b4_4bfb_bea6_b0c9),
+            (z(greece_mbr()), 0x3a91_8ed1_660c_e0b5),
+        ];
+        for (grid, fp) in pinned {
+            assert_eq!(grid.fingerprint(), fp, "{grid:?}");
+        }
     }
 
     #[test]

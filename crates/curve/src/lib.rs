@@ -5,19 +5,12 @@
 //! point's grid cell, indexed by a plain B-tree and used as the leading
 //! shard-key field. This crate supplies:
 //!
-//! * [`Curve`] — the pluggable curve contract (cell ↔ index bijection +
-//!   query-rectangle decomposition) every family implements, selected
-//!   via [`CurveFamily`];
 //! * [`hilbert`] — the 2D Hilbert curve (`xy2d`/`d2xy`), any order ≤ 31;
 //! * [`zorder`] — Z-order (bit interleaving), the curve Hilbert is
 //!   compared against;
-//! * [`onion`] — the Onion curve (Xu et al., arXiv:1801.07399):
-//!   concentric rings with near-optimal clustering at the domain edge;
-//! * [`skewgh`] — the entropy-maximizing skew-adaptive GeoHash (after
-//!   Arnold 2015): Z-order topology over bucket boundaries fit from a
-//!   data sample;
-//! * [`CurveGrid`] — a curve laid over a lon/lat extent: the world extent
-//!   gives the paper's `hil` method, the data-MBR extent gives `hil*`;
+//! * [`CurveGrid`] — either curve ([`CurveKind`]) laid over a lon/lat
+//!   extent: the world extent gives the paper's `hil` method, the
+//!   data-MBR extent gives `hil*`;
 //! * [`CurveGrid::decompose_rect`] — the query-side algorithm of Table 8:
 //!   turn a query rectangle into sorted, merged 1D index ranges;
 //! * [`locality`] — clustering metrics in the spirit of Moon et al. (ref. \[14\] of the paper),
@@ -44,19 +37,13 @@
 
 pub mod hilbert;
 pub mod locality;
-pub mod onion;
-pub mod skewgh;
 pub mod zorder;
 
-mod curve;
 mod grid;
 mod ranges;
 
-pub use curve::{Curve, CurveFamily};
 pub use grid::{CurveGrid, CurveKind};
-pub use onion::OnionCurve;
 pub use ranges::{CoveringScratch, RangeBudget};
-pub use skewgh::SkewGeoHash;
 
 /// The paper's curve precision: 13 bits per axis (§5.1 methodology).
 pub const PAPER_CURVE_ORDER: u32 = 13;

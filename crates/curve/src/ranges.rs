@@ -67,16 +67,13 @@ impl Default for RangeBudget {
 
 /// Reusable working state for range decomposition.
 ///
-/// Every covering coalesces to its budget through the gap buffer. The
-/// block list serves Onion only: its ring walk emits clipped edges out
-/// of index order, so they are collected, sorted and merged once at the
-/// end. Both retain their capacity across queries, so a store that
-/// threads one scratch through its queries builds coverings without
-/// steady-state heap allocation.
+/// Every covering coalesces to its budget through the gap buffer, which
+/// retains its capacity across queries, so a store that threads one
+/// scratch through its queries builds coverings without steady-state
+/// heap allocation.
 #[derive(Default)]
 pub struct CoveringScratch {
-    pub(crate) blocks: Vec<(u64, u64)>,
-    pub(crate) gaps: Vec<(u64, u32)>,
+    gaps: Vec<(u64, u32)>,
 }
 
 impl CoveringScratch {
@@ -97,8 +94,7 @@ const ZORDER_RANKS: [(u64, u64); 4] = [(0, 0), (1, 0), (0, 1), (1, 1)];
 /// Decompose the aligned-block cover of `[x0..=x1] × [y0..=y1]` on the
 /// `2^order` grid whose cells `kind` orders: append its sorted, merged
 /// ranges to `out` (never merging into what `out` already held) and
-/// coalesce them to `budget`. Block contiguity depends on the topology
-/// alone, so SkewGeoHash's fitted grid passes [`CurveKind::ZOrder`].
+/// coalesce them to `budget`.
 pub(crate) fn decompose_blocks_into(
     order: u32,
     kind: CurveKind,
@@ -169,22 +165,6 @@ impl Descent<'_> {
             );
         }
     }
-}
-
-/// Sort the ring edges Onion collected in `scratch`, append them to
-/// `out` merging overlapping and adjacent (`hi + 1 == lo`) neighbours,
-/// and coalesce down to the range budget.
-pub(crate) fn finish_covering(
-    scratch: &mut CoveringScratch,
-    budget: RangeBudget,
-    out: &mut Vec<(u64, u64)>,
-) {
-    let start = out.len();
-    scratch.blocks.sort_unstable();
-    for &block in &scratch.blocks {
-        push_merged(out, start, block);
-    }
-    apply_budget(out, start, budget, &mut scratch.gaps);
 }
 
 /// Append `(lo, hi)`, no lower than any range already in `out[start..]`,
@@ -441,27 +421,6 @@ mod tests {
         // Total covered span only grows.
         let span = |rs: &[(u64, u64)]| rs.iter().map(|(lo, hi)| hi - lo + 1).sum::<u64>();
         assert!(span(&budgeted) >= span(&exact));
-    }
-
-    #[test]
-    fn finish_covering_sorts_and_merges_after_existing_output() {
-        let mut scratch = CoveringScratch::new();
-        let mut out = vec![(100, 200)];
-        finish_covering(&mut scratch, RangeBudget::UNLIMITED, &mut out);
-        assert_eq!(out, vec![(100, 200)], "no blocks, nothing appended");
-        // Visit order, with an adjacency, an overlap and a containment;
-        // the caller's earlier output is never merged into.
-        scratch.blocks = vec![
-            (5, 6),
-            (0, 2),
-            (3, 4),
-            (10, 12),
-            (11, 30),
-            (15, 16),
-            (201, 202),
-        ];
-        finish_covering(&mut scratch, RangeBudget::UNLIMITED, &mut out);
-        assert_eq!(out, vec![(100, 200), (0, 6), (10, 30), (201, 202)]);
     }
 
     #[test]

@@ -1,15 +1,14 @@
-//! Per-curve property suite: every [`CurveFamily`] must be a cell↔index
+//! Per-curve property suite: every [`CurveKind`] must be a cell↔index
 //! bijection whose rectangle decomposition covers exactly the query —
 //! the contract the store's differential oracles build on.
 
 use proptest::prelude::*;
-use std::sync::Arc;
-use sts_curve::{CoveringScratch, Curve, CurveFamily, RangeBudget};
+use sts_curve::{CoveringScratch, CurveGrid, CurveKind, RangeBudget};
 use sts_geo::{GeoPoint, GeoRect, WORLD};
 
-/// A deterministic skewed training sample (dense Athens cluster plus a
-/// sparse world background) for the data-fitted families.
-fn training_sample() -> Vec<GeoPoint> {
+/// A deterministic skewed point sample: a dense Athens cluster plus a
+/// sparse world background.
+fn sample_points() -> Vec<GeoPoint> {
     let mut pts = Vec::new();
     let mut s = 0x5137_2021u64;
     let mut next = || {
@@ -28,11 +27,10 @@ fn training_sample() -> Vec<GeoPoint> {
     pts
 }
 
-fn zoo(order: u32) -> Vec<Arc<dyn Curve>> {
-    let sample = training_sample();
-    CurveFamily::ALL
+fn zoo(order: u32) -> Vec<CurveGrid> {
+    CurveKind::ALL
         .iter()
-        .map(|f| f.build(&WORLD, order, &sample))
+        .map(|&kind| CurveGrid::new(WORLD, order, kind))
         .collect()
 }
 
@@ -46,16 +44,16 @@ fn index_cell_bijectivity_exhaustive_small_order() {
                 let d = curve.index_of_cell(x, y);
                 assert!(
                     d < curve.total_cells(),
-                    "{}: index out of range",
-                    curve.family()
+                    "{:?}: index out of range",
+                    curve.kind()
                 );
-                assert!(!seen[d as usize], "{}: index {d} hit twice", curve.family());
+                assert!(!seen[d as usize], "{:?}: index {d} hit twice", curve.kind());
                 seen[d as usize] = true;
                 assert_eq!(
                     curve.cell_of_index(d),
                     (x, y),
-                    "{}: inverse broke at ({x},{y})",
-                    curve.family()
+                    "{:?}: inverse broke at ({x},{y})",
+                    curve.kind()
                 );
             }
         }
@@ -65,44 +63,37 @@ fn index_cell_bijectivity_exhaustive_small_order() {
 #[test]
 fn point_lookup_lands_in_cell_rect() {
     for curve in zoo(8) {
-        for p in training_sample().iter().step_by(37) {
+        for p in sample_points().iter().step_by(37) {
             let (x, y) = curve.cell_of(*p);
             assert!(
                 curve.cell_rect(x, y).contains(*p),
-                "{}: {p:?} outside its cell rect",
-                curve.family()
+                "{:?}: {p:?} outside its cell rect",
+                curve.kind()
             );
         }
     }
 }
 
-#[test]
-fn skew_geohash_fit_is_deterministic_for_a_fixed_sample() {
-    let sample = training_sample();
-    let a = CurveFamily::SkewGeoHash.build(&WORLD, 9, &sample);
-    let b = CurveFamily::SkewGeoHash.build(&WORLD, 9, &sample);
-    assert_eq!(a.fingerprint(), b.fingerprint());
-    // Identical coverings for the same query, range for range.
-    let rect = GeoRect::new(23.0, 37.0, 25.0, 39.0);
-    assert_eq!(
-        a.decompose_rect(&rect, RangeBudget::default()),
-        b.decompose_rect(&rect, RangeBudget::default())
+/// The rectangle from the centre of cell `(x0, y0)` to the centre of
+/// cell `(x1, y1)`: its cell span is exactly `[x0..=x1] × [y0..=y1]`.
+fn span_rect(curve: &CurveGrid, (x0, x1, y0, y1): (u64, u64, u64, u64)) -> GeoRect {
+    let (lo, hi) = (
+        curve.cell_rect(x0, y0).center(),
+        curve.cell_rect(x1, y1).center(),
     );
-    // And the fitted grid really differs from the uniform-bucket one.
-    let uniform = CurveFamily::SkewGeoHash.build(&WORLD, 9, &[]);
-    assert_ne!(a.fingerprint(), uniform.fingerprint());
+    GeoRect::new(lo.lon, lo.lat, hi.lon, hi.lat)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// Random cells round-trip through index space on every family.
+    /// Random cells round-trip through index space on both curves.
     #[test]
     fn prop_bijectivity_random_cells(x in 0u64..8192, y in 0u64..8192) {
         for curve in zoo(13) {
             let d = curve.index_of_cell(x, y);
             prop_assert!(d < curve.total_cells());
-            prop_assert_eq!(curve.cell_of_index(d), (x, y), "family {}", curve.family());
+            prop_assert_eq!(curve.cell_of_index(d), (x, y), "curve {:?}", curve.kind());
         }
     }
 
@@ -115,8 +106,8 @@ proptest! {
         let y1 = (y0 + h).min(63);
         for curve in zoo(6) {
             let mut out = Vec::new();
-            curve.decompose_cells_into(
-                (x0, x1, y0, y1),
+            curve.decompose_rect_into(
+                &span_rect(&curve, (x0, x1, y0, y1)),
                 RangeBudget::UNLIMITED,
                 &mut CoveringScratch::new(),
                 &mut out,
@@ -127,8 +118,8 @@ proptest! {
                     let (x, y) = curve.cell_of_index(d);
                     prop_assert!(
                         (x0..=x1).contains(&x) && (y0..=y1).contains(&y),
-                        "{}: index {} -> ({},{}) outside query",
-                        curve.family(), d, x, y
+                        "{:?}: index {} -> ({},{}) outside query",
+                        curve.kind(), d, x, y
                     );
                     covered += 1;
                 }
@@ -136,16 +127,16 @@ proptest! {
             prop_assert_eq!(
                 covered,
                 (x1 - x0 + 1) * (y1 - y0 + 1),
-                "{}: cover incomplete", curve.family()
+                "{:?}: cover incomplete", curve.kind()
             );
             for w in out.windows(2) {
-                prop_assert!(w[0].1 + 1 < w[1].0, "{}: unmerged {:?}", curve.family(), w);
+                prop_assert!(w[0].1 + 1 < w[1].0, "{:?}: unmerged {:?}", curve.kind(), w);
             }
         }
     }
 
     /// A binding budget only widens the covering (superset, never
-    /// split), and respects the range cap — on every family.
+    /// split), and respects the range cap — on both curves.
     #[test]
     fn prop_budget_is_unsplit_superset(
         x0 in 0u64..64, w in 0u64..64, y0 in 0u64..64, h in 0u64..64,
@@ -157,12 +148,13 @@ proptest! {
             let mut exact = Vec::new();
             let mut capped = Vec::new();
             let mut scratch = CoveringScratch::new();
-            curve.decompose_cells_into((x0, x1, y0, y1), RangeBudget::UNLIMITED, &mut scratch, &mut exact);
-            curve.decompose_cells_into((x0, x1, y0, y1), RangeBudget::new(budget), &mut scratch, &mut capped);
+            let rect = span_rect(&curve, (x0, x1, y0, y1));
+            curve.decompose_rect_into(&rect, RangeBudget::UNLIMITED, &mut scratch, &mut exact);
+            curve.decompose_rect_into(&rect, RangeBudget::new(budget), &mut scratch, &mut capped);
             prop_assert!(capped.len() <= budget);
             for &(lo, hi) in &exact {
                 let n = capped.iter().filter(|&&(blo, bhi)| blo <= lo && hi <= bhi).count();
-                prop_assert_eq!(n, 1, "{}: exact range ({},{}) split or lost", curve.family(), lo, hi);
+                prop_assert_eq!(n, 1, "{:?}: exact range ({},{}) split or lost", curve.kind(), lo, hi);
             }
         }
     }
@@ -181,16 +173,16 @@ proptest! {
             let ranges = curve.decompose_rect(&rect, RangeBudget::default());
             prop_assert!(
                 ranges.iter().any(|&(lo, hi)| (lo..=hi).contains(&d)),
-                "{}: point index {} not covered by {:?}",
-                curve.family(), d, ranges
+                "{:?}: point index {} not covered by {:?}",
+                curve.kind(), d, ranges
             );
         }
     }
 }
 
 /// FNV-1a over every `(lo, hi)` of the coverings of 1,000 seeded
-/// rectangles, for one family under one budget.
-fn covering_hash(curve: &dyn Curve, budget: RangeBudget) -> u64 {
+/// rectangles, for one curve under one budget.
+fn covering_hash(curve: &CurveGrid, budget: RangeBudget) -> u64 {
     let mut s = 0x00C0_FFEE_5EED_u64;
     let mut next = || {
         s = s
@@ -208,8 +200,8 @@ fn covering_hash(curve: &dyn Curve, budget: RangeBudget) -> u64 {
     let mut scratch = CoveringScratch::new();
     let mut out = Vec::new();
     for i in 0..1000 {
-        // City- to country-sized boxes, three in four inside the dense
-        // training cluster so the fitted family sees its fine buckets.
+        // City- to country-sized boxes, three in four inside a dense
+        // cluster around Athens.
         let (lon, lat) = if i % 4 == 0 {
             (next() * 340.0 - 170.0, next() * 160.0 - 80.0)
         } else {
@@ -230,11 +222,11 @@ fn covering_hash(curve: &dyn Curve, budget: RangeBudget) -> u64 {
 
 /// Golden coverings, recorded from the PR-4 interval-treap pipeline
 /// before it was replaced by sort + one merge pass: the two must agree
-/// byte for byte, on every family and under every budget regime
+/// byte for byte, on both curves and under every budget regime
 /// (bridge-everything, binding, default, unlimited).
 #[test]
 fn coverings_match_the_recorded_golden_hashes() {
-    const GOLDEN: [[u64; 4]; 4] = [
+    const GOLDEN: [[u64; 4]; 2] = [
         [
             0xc8def68b8d3bef14,
             0x439d89ae6d5e82f3,
@@ -247,18 +239,6 @@ fn coverings_match_the_recorded_golden_hashes() {
             0x926c93480bfcc96b,
             0x13f1a61b753b4e31,
         ],
-        [
-            0x2118b7b1bf4fd8ed,
-            0xb822a566cf3140e4,
-            0x82c0f78fe5853f41,
-            0xe582decb9fa4f7d8,
-        ],
-        [
-            0xa2c9f4359dcd81a7,
-            0x0c88dc8376f3a8fc,
-            0x02f3ad757818e497,
-            0x19ca7d78b71fff1f,
-        ],
     ];
     let budgets = [
         RangeBudget::new(1),
@@ -268,12 +248,7 @@ fn coverings_match_the_recorded_golden_hashes() {
     ];
     let got: Vec<Vec<u64>> = zoo(13)
         .iter()
-        .map(|curve| {
-            budgets
-                .iter()
-                .map(|b| covering_hash(curve.as_ref(), *b))
-                .collect()
-        })
+        .map(|curve| budgets.iter().map(|b| covering_hash(curve, *b)).collect())
         .collect();
-    assert_eq!(got, GOLDEN, "rows {:?}, got {got:#x?}", CurveFamily::ALL);
+    assert_eq!(got, GOLDEN, "rows {:?}, got {got:#x?}", CurveKind::ALL);
 }

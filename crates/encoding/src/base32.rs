@@ -31,16 +31,14 @@ pub fn base32_encode(bits: u64, nbits: u32, chars: usize) -> String {
     s
 }
 
-/// Render a curve cell index (the `hilbertIndex` value of any curve
-/// family: Hilbert, Z-order, onion or skew GeoHash) as a GeoHash-style
-/// base32 code.
+/// Render a curve cell index (the `hilbertIndex` value of either curve,
+/// Hilbert or Z-order) as a GeoHash-style base32 code.
 ///
 /// The index's `2 * order` significant bits are left-aligned and
 /// encoded at the natural precision `ceil(2 * order / 5)` characters.
-/// For Z-order-topology curves truncating the code truncates the cell
-/// bit string, so codes inherit GeoHash's prefix-containment reading;
-/// for other curves the code is an opaque but stable label (dashboards,
-/// explain output, chunk annotations).
+/// For Z-order truncating the code truncates the cell bit string, so
+/// codes inherit GeoHash's prefix-containment reading; for Hilbert the
+/// code is an opaque but stable label.
 pub fn curve_cell_code(index: u64, order: u32) -> String {
     let nbits = 2 * order;
     assert!((1..=62).contains(&nbits), "unsupported curve order {order}");

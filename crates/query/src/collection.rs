@@ -217,18 +217,6 @@ impl LocalCollection {
         self.find_with_planner(&Planner::default(), filter)
     }
 
-    /// Plan, execute and shape (sort/limit) — the shard-local half of a
-    /// distributed top-k find.
-    pub fn find_with_options(
-        &self,
-        filter: &Filter,
-        options: &crate::FindOptions,
-    ) -> (Vec<Document>, ExecutionStats) {
-        let (mut docs, stats) = self.find(filter);
-        options.shape(&mut docs);
-        (docs, stats)
-    }
-
     /// Execute with an explicit planner configuration.
     pub fn find_with_planner(
         &self,

@@ -46,8 +46,6 @@
 //! assert!(stats.keys_examined < 100, "index scan, not a full scan");
 //! ```
 
-pub mod aggregate;
-
 mod collection;
 mod error;
 mod executor;
@@ -58,7 +56,6 @@ mod plan;
 mod planner;
 mod shape;
 
-pub use aggregate::{aggregate_local, Accumulator, GroupBy, PartialAggregation};
 pub use collection::LocalCollection;
 pub use error::QueryError;
 pub use executor::{

@@ -151,11 +151,6 @@ impl CollectionStore {
             .count()
     }
 
-    /// Iterate live `(id, raw bytes)` pairs.
-    pub fn iter_raw(&self) -> impl Iterator<Item = (RecordId, &[u8])> {
-        self.heap.iter()
-    }
-
     /// Compute size statistics: documents are packed into
     /// [`BLOCK_SIZE`] blocks in record order and each block is
     /// compressed independently, like WiredTiger's block manager.

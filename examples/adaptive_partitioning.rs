@@ -1,7 +1,7 @@
 //! Adaptive, workload-aware partitioning (§6 future work, implemented):
 //! record a query log, re-zone the cluster by access frequency, and
-//! watch the hottest shard's load drop. Also demonstrates the
-//! distributed `$group` aggregation and polygon queries.
+//! watch the hottest shard's load drop. Also demonstrates a polygon
+//! query.
 //!
 //! ```text
 //! cargo run --release --example adaptive_partitioning
@@ -10,7 +10,6 @@
 use sts::core::{Approach, StQuery, StStore, StoreConfig};
 use sts::document::DateTime;
 use sts::geo::{GeoPoint, GeoPolygon, GeoRect};
-use sts::query::{Accumulator, GroupBy};
 use sts::workload::fleet::{generate, FleetConfig};
 use sts::workload::Record;
 
@@ -69,8 +68,7 @@ fn main() {
         100.0 * (1.0 - aware_hot as f64 / plain_hot.max(1) as f64)
     );
 
-    // Analytics on the re-zoned store: average speed per road type
-    // inside a polygonal Attica region, one month.
+    // A polygonal Attica region on the re-zoned store, one month.
     let attica = GeoPolygon::new(vec![
         GeoPoint::new(23.45, 37.85),
         GeoPoint::new(23.80, 37.80),
@@ -88,34 +86,4 @@ fn main() {
         "polygonal Attica probe: {} traces in August",
         region_docs.len()
     );
-
-    let spec = GroupBy::by(
-        "roadType",
-        vec![
-            ("n".into(), Accumulator::Count),
-            ("avgSpeed".into(), Accumulator::Avg("speedKmh".into())),
-            ("maxSpeed".into(), Accumulator::Max("speedKmh".into())),
-        ],
-    );
-    let (groups, report) = aware.st_aggregate(
-        &StQuery {
-            rect: *attica.bbox(),
-            t0: DateTime::parse_iso("2018-08-01T00:00:00Z").unwrap(),
-            t1: DateTime::parse_iso("2018-09-01T00:00:00Z").unwrap(),
-        },
-        &spec,
-    );
-    println!(
-        "distributed $group over {} node(s): avg speed per road type",
-        report.cluster.nodes()
-    );
-    for g in &groups {
-        println!(
-            "  {:<12} n={:<5} avg={:>5.1} km/h max={:>5.1}",
-            g.get("_id").unwrap().as_str().unwrap_or("?"),
-            g.get("n").unwrap().as_i64().unwrap_or(0),
-            g.get("avgSpeed").unwrap().as_f64().unwrap_or(0.0),
-            g.get("maxSpeed").unwrap().as_f64().unwrap_or(0.0),
-        );
-    }
 }

@@ -131,19 +131,19 @@ fn skip_scan_hot_path_allocates_nothing_after_warm_up() {
 }
 
 /// A warmed covering allocates nothing: Hilbert and Z-order descend
-/// straight into the caller's range list, Onion reuses its block list,
-/// and every budget coalesces through the reused gap buffer.
+/// straight into the caller's range list, and every budget coalesces
+/// through the reused gap buffer.
 #[test]
 fn warmed_covering_allocates_nothing() {
-    use sts::curve::{CoveringScratch, CurveFamily, RangeBudget};
+    use sts::curve::{CoveringScratch, CurveGrid, CurveKind, RangeBudget};
 
     let mbr = GeoRect::new(20.0, 35.0, 28.0, 41.5);
     let rects = [
         GeoRect::new(23.70, 37.95, 23.76, 38.01), // city-sized
         GeoRect::new(22.0, 36.0, 25.0, 38.5),     // region-sized
     ];
-    for family in CurveFamily::ALL {
-        let curve = family.build(&mbr, sts::curve::PAPER_CURVE_ORDER, &[]);
+    for kind in CurveKind::ALL {
+        let curve = CurveGrid::new(mbr, sts::curve::PAPER_CURVE_ORDER, kind);
         let mut scratch = CoveringScratch::new();
         let mut out = Vec::new();
         let mut cover = |out: &mut Vec<(u64, u64)>| {
@@ -161,7 +161,7 @@ fn warmed_covering_allocates_nothing() {
         let allocated = sts::obs::alloc::thread_allocations() - before;
         assert_eq!(
             allocated, 0,
-            "{family}: warmed coverings allocated {allocated} time(s)"
+            "{kind:?}: warmed coverings allocated {allocated} time(s)"
         );
     }
 }

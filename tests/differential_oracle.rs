@@ -1,14 +1,13 @@
 //! Differential testing: every approach (`bslST`, `bslTS`, `hil`,
 //! `hil*`) must return exactly the full-scan oracle's result set on
 //! random spatio-temporal workloads — and the curve-based approaches
-//! must do so on *every* curve family in the zoo (Hilbert, Z-order,
-//! onion, skew-adaptive GeoHash).
+//! must do so on both curves (Hilbert and Z-order).
 
 mod support;
 
 use proptest::prelude::*;
 use sts::core::{Approach, StQuery};
-use sts::curve::CurveFamily;
+use sts::curve::CurveKind;
 use sts::document::{doc, DateTime, Document, Value};
 use sts::geo::GeoRect;
 use support::oracle::{result_id_set, Oracle};
@@ -96,18 +95,18 @@ fn assert_matches_oracle(oracle: &Oracle, queries: &[StQuery]) {
     assert_matches_oracle_in(oracle, queries, data_mbr());
 }
 
-/// The curve-zoo sweep: both curve-based approaches on every family
-/// must return exactly the oracle's result set.
+/// The curve sweep: both curve-based approaches on both curves must
+/// return exactly the oracle's result set.
 fn assert_curve_zoo_matches_oracle_in(oracle: &Oracle, queries: &[StQuery], mbr: GeoRect) {
     for approach in [Approach::Hil, Approach::HilStar] {
-        for family in CurveFamily::ALL {
-            let store = store_for_curve(approach, family, oracle.docs(), mbr, 4);
+        for kind in CurveKind::ALL {
+            let store = store_for_curve(approach, kind, oracle.docs(), mbr, 4);
             for q in queries {
                 let (docs, report) = store.st_query(q);
                 assert_eq!(
                     result_id_set(&docs),
                     oracle.id_set(q),
-                    "{approach}/{family} disagrees with the oracle on {q:?}"
+                    "{approach}/{kind:?} disagrees with the oracle on {q:?}"
                 );
                 assert_eq!(report.cluster.n_returned(), oracle.count(q));
                 assert!(report.hilbert_ranges > 0 || oracle.count(q) == 0);
@@ -182,7 +181,7 @@ proptest! {
         assert_matches_oracle(&oracle, &queries);
     }
 
-    /// Every curve family in the zoo is exact on random corpora and
+    /// Both curves are exact on random corpora and
     /// random query boxes (the full-scan differential oracle applied
     /// per-curve, acceptance criterion of the curve-zoo refactor).
     #[test]
@@ -217,6 +216,6 @@ fn paper_workload_matches_the_oracle() {
         .map(|(_, _, q)| q)
         .collect();
     assert_matches_oracle_in(&oracle, &queries, R_MBR);
-    // And the same fleet workload holds on every curve in the zoo.
+    // And the same fleet workload holds on both curves.
     assert_curve_zoo_matches_oracle_in(&oracle, &queries, R_MBR);
 }

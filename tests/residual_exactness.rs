@@ -1,7 +1,7 @@
 //! Shards check only each plan's *residual* on fetched documents — the
 //! filter minus what the index bounds already proved. Whole-stack
 //! proof that nothing provable-looking is dropped wrongly: on every
-//! approach × curve family, `find` through router, planner and
+//! approach × curve, `find` through router, planner and
 //! executor returns exactly what a collection scan of every shard with
 //! the **whole** filter returns — on data whose `date` is sometimes
 //! off-type or absent, and on filter shapes that must drop nothing.
@@ -10,7 +10,7 @@ mod support;
 
 use proptest::prelude::*;
 use sts::core::{Approach, StQuery, StStore};
-use sts::curve::CurveFamily;
+use sts::curve::CurveKind;
 use sts::document::{doc, DateTime, Document, ObjectId, Value};
 use sts::geo::{GeoPoint, GeoPolygon, GeoRect};
 use sts::query::{CmpOp, Filter};
@@ -203,10 +203,10 @@ proptest! {
         let docs = corpus(&fixes);
         let mut productive = 0;
         for approach in Approach::ALL {
-            // The baselines have no curve; one family covers them.
-            let families = if approach.uses_hilbert() { &CurveFamily::ALL[..] } else { &CurveFamily::ALL[..1] };
-            for &family in families {
-                let store = store_for_curve(approach, family, &docs, MBR, 4);
+            // The baselines have no curve; one kind covers them.
+            let kinds = if approach.uses_hilbert() { &CurveKind::ALL[..] } else { &CurveKind::ALL[..1] };
+            for &kind in kinds {
+                let store = store_for_curve(approach, kind, &docs, MBR, 4);
                 for (idx, half_deg, half_ms) in &centers {
                     let q = query_around(&fixes[idx.index(fixes.len())], *half_deg, *half_ms);
                     for (shape, filter) in filter_variants(&store, &q) {
@@ -222,7 +222,7 @@ proptest! {
                         prop_assert!(!report.partial);
                         prop_assert_eq!(
                             sorted_ids(found), truth,
-                            "{}/{} {}: {:?}", approach, family, shape, filter
+                            "{}/{:?} {}: {:?}", approach, kind, shape, filter
                         );
                     }
                 }

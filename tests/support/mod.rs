@@ -8,9 +8,9 @@ pub mod oracle;
 pub mod schedule;
 
 use sts::core::{Approach, StStore, StoreConfig};
-use sts::curve::CurveFamily;
+use sts::curve::CurveKind;
 use sts::document::Document;
-use sts::geo::{GeoPoint, GeoRect};
+use sts::geo::GeoRect;
 
 /// Deploy one approach over the documents, with a small chunk size so
 /// even modest test loads split across shards.
@@ -20,36 +20,25 @@ pub fn store_for(
     mbr: GeoRect,
     num_shards: usize,
 ) -> StStore {
-    store_for_curve(approach, CurveFamily::default(), docs, mbr, num_shards)
+    store_for_curve(approach, CurveKind::default(), docs, mbr, num_shards)
 }
 
-/// [`store_for`] with an explicit curve family. The skew-GeoHash
-/// training sample is the corpus itself (deterministic), so the fitted
-/// grid adapts to exactly the data under test.
+/// [`store_for`] with an explicit curve.
 pub fn store_for_curve(
     approach: Approach,
-    curve: CurveFamily,
+    curve: CurveKind,
     docs: &[Document],
     mbr: GeoRect,
     num_shards: usize,
 ) -> StStore {
-    let curve_sample = curve_sample_of(docs);
     let mut store = StStore::new(StoreConfig {
         approach,
         num_shards,
         max_chunk_bytes: 24 * 1024,
         data_mbr: mbr,
         curve,
-        curve_sample,
         ..Default::default()
     });
     store.bulk_load(docs.iter().cloned()).unwrap();
     store
-}
-
-/// The geo points of a corpus, as a curve-fitting sample.
-pub fn curve_sample_of(docs: &[Document]) -> Vec<GeoPoint> {
-    docs.iter()
-        .filter_map(|d| sts::index::geo_point_of(d, "location"))
-        .collect()
 }

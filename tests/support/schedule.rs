@@ -34,11 +34,10 @@ use std::time::Duration;
 
 use sts::cluster::{FailPoint, FailPointMode};
 use sts::core::{Approach, CacheOutcome, QueryReport, RouterConfig, StQuery, StStore, StoreConfig};
-use sts::curve::CurveFamily;
+use sts::curve::CurveKind;
 use sts::document::{doc, DateTime, Document, Value};
 use sts::geo::GeoRect;
 
-use super::curve_sample_of;
 use super::oracle::Oracle;
 
 /// Spatial box the corpus lives in (as in the differential-oracle
@@ -127,10 +126,10 @@ impl FaultSpec {
 pub struct ScheduleCase {
     pub seed: u64,
     pub approach: Approach,
-    /// Curve family the deployment runs on (only consulted by the
-    /// curve-based approaches). Seeds stride through the zoo so a
-    /// 64-seed matrix covers every approach×curve combination.
-    pub curve: CurveFamily,
+    /// Curve the deployment runs on (only consulted by the curve-based
+    /// approaches). Seeds stride through both curves so a 64-seed
+    /// matrix covers every approach×curve combination.
+    pub curve: CurveKind,
     /// Bulk-loaded before the schedule runs (always visible).
     pub base: Vec<Document>,
     /// Ingested by `Stage` ops, batch by batch.
@@ -303,9 +302,10 @@ impl ScheduleCase {
         let mut rng = Rng::new(seed ^ 0x5C4E_D01E_u64.rotate_left(7));
         let approach = Approach::ALL[(seed as usize) % Approach::ALL.len()];
         // The curve strides four times slower than the approach, so
-        // seeds 0..16 already span every (approach, curve) pair and
-        // 64 seeds visit each pair four times.
-        let curve = CurveFamily::ALL[((seed / 4) as usize) % CurveFamily::ALL.len()];
+        // seeds 0..8 already span every (approach, curve) pair — four
+        // approaches × two curves — and 64 seeds visit each pair eight
+        // times.
+        let curve = CurveKind::ALL[((seed / 4) as usize) % CurveKind::ALL.len()];
         let base: Vec<Document> = (0..BASE_DOCS)
             .map(|i| point_doc(&mut rng, i as u32))
             .collect();
@@ -544,10 +544,6 @@ pub fn replay(case: &ScheduleCase) -> Result<ReplayReport, ReplayError> {
         max_chunk_bytes: MAX_CHUNK_BYTES,
         data_mbr: data_mbr(),
         curve: case.curve,
-        // Fit data-adaptive families on the bulk-loaded corpus only —
-        // the staged batches arrive *after* deployment, exactly like
-        // production ingest against an already-fitted curve.
-        curve_sample: curve_sample_of(&case.base),
         // The result-page cache is ON for schedule replays — the whole
         // point of `CachedQuery` is proving its epoch/write-generation
         // invalidation against the oracle.
@@ -745,7 +741,7 @@ pub fn dump_failure(case: &ScheduleCase, error: &ReplayError) -> PathBuf {
     let mut body = String::new();
     let _ = write!(
         body,
-        r#"{{"seed":{},"approach":"{}","curve":"{}","failed_op":{},"error":{:?},"ops":["#,
+        r#"{{"seed":{},"approach":"{}","curve":"{:?}","failed_op":{},"error":{:?},"ops":["#,
         case.seed, case.approach, case.curve, error.op_index, error.message
     );
     for (i, op) in case.ops.iter().enumerate() {
@@ -769,7 +765,7 @@ pub fn replay_or_explain(case: &ScheduleCase) -> ReplayReport {
             let error = replay(&minimal).err().unwrap_or(e.clone());
             let path = dump_failure(&minimal, &error);
             panic!(
-                "schedule seed {} ({} on {}) failed: {e}\n\
+                "schedule seed {} ({} on {:?}) failed: {e}\n\
                  shrunk to {} ops (from {}), failing with: {error}\n\
                  repro dumped to {}",
                 case.seed,
