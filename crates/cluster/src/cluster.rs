@@ -16,7 +16,7 @@ use sts_btree::SizeReport;
 use sts_document::{encoded_size, Document, Value};
 use sts_index::{IndexField, IndexSpec};
 use sts_obs::Registry;
-use sts_query::{ExecutionStats, Filter, Planner, QueryShape};
+use sts_query::{ExecutionStats, Filter, Planner, QueryPlan, QueryShape};
 use sts_storage::CollectionStats;
 
 /// Cluster-wide configuration.
@@ -151,6 +151,8 @@ pub struct Cluster {
     /// process-wide registry; [`Cluster::set_metrics_registry`] rescopes
     /// the whole deployment (router + every shard) onto a private one.
     obs: Arc<Registry>,
+    /// The router's query-path metrics, resolved on `obs`.
+    metrics: RouterMetrics,
 }
 
 /// Balancer bookkeeping: how much data the cluster has shuffled.
@@ -239,6 +241,7 @@ impl Cluster {
             routing_gen: AtomicU64::new(0),
             writes: AtomicU64::new(0),
             obs: sts_obs::global_handle(),
+            metrics: RouterMetrics::new(&sts_obs::global_handle()),
         }
     }
 
@@ -253,8 +256,10 @@ impl Cluster {
     /// this so one approach's counters can never bleed into another's.
     pub fn set_metrics_registry(&mut self, obs: Arc<Registry>) {
         for shard in &mut self.shards {
-            shard.collection_mut().set_obs(obs.clone());
+            shard.collection_mut().set_obs(&obs);
         }
+        self.executor.set_metrics(&obs);
+        self.metrics = RouterMetrics::new(&obs);
         self.obs = obs;
     }
 
@@ -726,7 +731,9 @@ impl Cluster {
                 },
             );
             self.obs.counter("balancer.migrations").inc();
-            self.obs.record("balancer.migrations", start.elapsed());
+            self.obs
+                .histogram("balancer.migrations")
+                .record(start.elapsed());
             return true;
         }
         self.migrations.migrations_aborted += 1;
@@ -876,19 +883,20 @@ impl Cluster {
         }
     }
 
-    /// The unified scatter/gather: analyze the filter once — routing
-    /// and every shard's planner read the same [`QueryShape`] — route
-    /// (or replay a cached, generation-checked [`RoutePlan`]), fan out
-    /// on the shard executor's parked workers under the recovery policy
-    /// (failpoint draws, timeouts, backoff retries, hedged reads),
-    /// gather in shard order. Abandoned shards contribute an incomplete
+    /// The unified scatter/gather: analyze the filter once, route (or
+    /// replay a cached, generation-checked [`RoutePlan`]), build the
+    /// candidate plans once — every shard has the same index specs, so
+    /// every target ranks the same slice — fan out on the shard
+    /// executor's parked workers under the recovery policy (failpoint
+    /// draws, timeouts, backoff retries, hedged reads), gather in shard
+    /// order. Abandoned shards contribute an incomplete
     /// [`ShardExecution`] and flip the report's `partial` flag instead
     /// of losing the whole query.
     fn scatter_gather<R: Send>(
         &self,
         filter: &Filter,
         opts: QueryExecOptions,
-        run: impl Fn(usize, &QueryShape) -> (R, ExecutionStats) + Sync,
+        run: impl Fn(usize, &[QueryPlan]) -> (R, ExecutionStats) + Sync,
     ) -> (Vec<R>, ClusterQueryReport) {
         let start = Instant::now();
         let shape = QueryShape::analyze(filter);
@@ -898,25 +906,28 @@ impl Cluster {
         let computed;
         let (targets, broadcast, touched_chunks): (&[usize], bool, &[usize]) = match cached_route {
             Some(p) => {
-                self.obs.counter("router.route_reused").inc();
+                self.metrics.route_reused.inc();
                 (&p.targets, p.broadcast, &p.touched)
             }
             None => {
                 if opts.route.is_some() {
                     // A plan was offered but the chunk map moved on.
-                    self.obs.counter("router.route_stale").inc();
+                    self.metrics.route_stale.inc();
                 }
                 computed = self.route(&shape);
                 (&computed.0, computed.1, &computed.2)
             }
         };
         let routing = start.elapsed();
+        let indexes = self.shards[0].collection().indexes();
+        let plans = self.config.planner.candidates_over(indexes, &shape);
+        let planning = start.elapsed() - routing;
         let query_id = self.faults.begin_query();
         let policy = opts.recovery.unwrap_or(self.config.recovery);
         // One row per target, in target (= ascending shard) order: the
         // answer (`None` once recovery gave the shard up) and what it took.
-        let (results, dispatch) = self.executor.execute(&self.obs, targets, |&sid| {
-            run_with_recovery(&policy, &self.faults, query_id, sid, || run(sid, &shape))
+        let (results, dispatch) = self.executor.execute(targets, |&sid| {
+            run_with_recovery(&policy, &self.faults, query_id, sid, || run(sid, &plans))
         });
         let mut payloads = Vec::with_capacity(results.len());
         let mut per_shard = Vec::with_capacity(results.len());
@@ -947,6 +958,7 @@ impl Cluster {
             partial,
             wall: start.elapsed(),
             routing,
+            planning,
             merge: Duration::ZERO,
             dispatch,
         };
@@ -956,7 +968,7 @@ impl Cluster {
                 .iter()
                 .map(|&idx| self.chunks.chunks()[idx].min.as_slice()),
         );
-        record_scatter_metrics(&self.obs, &report);
+        self.metrics.record_scatter(&report);
         (payloads, report)
     }
 
@@ -972,9 +984,11 @@ impl Cluster {
         filter: &Filter,
         opts: QueryExecOptions,
     ) -> (Vec<Document>, ClusterQueryReport) {
-        let planner = self.config.planner;
-        let (chunks, mut report) = self.scatter_gather(filter, opts, |sid, shape| {
-            self.shards[sid].collection().find_shaped(&planner, shape)
+        let planner = &self.config.planner;
+        let (chunks, mut report) = self.scatter_gather(filter, opts, |sid, plans| {
+            self.shards[sid]
+                .collection()
+                .find_among(planner, filter, plans)
         });
         let merge_start = Instant::now();
         // `Flatten` has no useful size hint; pre-size the merge vector
@@ -984,7 +998,8 @@ impl Cluster {
         for chunk in chunks {
             docs.extend(chunk);
         }
-        finish_merge(&self.obs, &mut report, merge_start.elapsed());
+        self.metrics
+            .finish_merge(&mut report, merge_start.elapsed());
         (docs, report)
     }
 
@@ -996,11 +1011,11 @@ impl Cluster {
         filter: &Filter,
         options: &sts_query::FindOptions,
     ) -> (Vec<Document>, ClusterQueryReport) {
-        let planner = self.config.planner;
+        let planner = &self.config.planner;
         let (chunks, mut report) =
-            self.scatter_gather(filter, QueryExecOptions::default(), |sid, shape| {
+            self.scatter_gather(filter, QueryExecOptions::default(), |sid, plans| {
                 let coll = self.shards[sid].collection();
-                let (mut docs, stats) = coll.find_shaped(&planner, shape);
+                let (mut docs, stats) = coll.find_among(planner, filter, plans);
                 options.shape(&mut docs);
                 (docs, stats)
             });
@@ -1011,7 +1026,8 @@ impl Cluster {
             docs.extend(chunk);
         }
         options.shape(&mut docs);
-        finish_merge(&self.obs, &mut report, merge_start.elapsed());
+        self.metrics
+            .finish_merge(&mut report, merge_start.elapsed());
         (docs, report)
     }
 
@@ -1068,40 +1084,57 @@ impl Cluster {
     }
 }
 
-/// Record router-level observables for one scatter/gather into the
-/// cluster's metrics registry: routing latency, per-query fan-out and
-/// the recovery counters. Virtual recovery delay goes to its own
-/// histogram — it is injected, not measured, time.
-fn record_scatter_metrics(obs: &Registry, report: &ClusterQueryReport) {
-    obs.counter("router.queries").inc();
-    if report.broadcast {
-        obs.counter("router.broadcasts").inc();
-    }
-    if report.partial {
-        obs.counter("router.partials").inc();
-    }
-    obs.counter("router.shard_executions")
-        .add(report.per_shard.len() as u64);
-    obs.counter("router.retries")
-        .add(u64::from(report.total_retries()));
-    obs.counter("router.hedges")
-        .add(u64::from(report.total_hedges()));
-    obs.counter("router.timeouts")
-        .add(u64::from(report.total_timeouts()));
-    obs.record("router.routing", report.routing);
-    let recovery = report.stage_totals().recovery;
-    if recovery > Duration::ZERO {
-        obs.record("router.recovery_virtual", recovery);
+sts_obs::handles! {
+    /// The router's query-path metrics, each resolved on its first record.
+    struct RouterMetrics {
+        queries: Counter = "router.queries",
+        broadcasts: Counter = "router.broadcasts",
+        partials: Counter = "router.partials",
+        shard_executions: Counter = "router.shard_executions",
+        retries: Counter = "router.retries",
+        hedges: Counter = "router.hedges",
+        timeouts: Counter = "router.timeouts",
+        route_reused: Counter = "router.route_reused",
+        route_stale: Counter = "router.route_stale",
+        routing: Histogram = "router.routing",
+        recovery_virtual: Histogram = "router.recovery_virtual",
+        merge: Histogram = "router.merge",
+        wall: Histogram = "router.wall",
     }
 }
 
-/// Fold the router-side merge stage into the report: the merge runs
-/// after the scatter wall-clock window closed, so it extends `wall`.
-fn finish_merge(obs: &Registry, report: &mut ClusterQueryReport, merge: Duration) {
-    report.merge = merge;
-    report.wall += merge;
-    obs.record("router.merge", merge);
-    obs.record("router.wall", report.wall);
+impl RouterMetrics {
+    /// Router-level observables for one scatter/gather: routing
+    /// latency, per-query fan-out and the recovery counters. Virtual
+    /// recovery delay goes to its own histogram — it is injected, not
+    /// measured, time.
+    fn record_scatter(&self, report: &ClusterQueryReport) {
+        self.queries.inc();
+        if report.broadcast {
+            self.broadcasts.inc();
+        }
+        if report.partial {
+            self.partials.inc();
+        }
+        self.shard_executions.add(report.per_shard.len() as u64);
+        self.retries.add(u64::from(report.total_retries()));
+        self.hedges.add(u64::from(report.total_hedges()));
+        self.timeouts.add(u64::from(report.total_timeouts()));
+        self.routing.record(report.routing);
+        let recovery = report.stage_totals().recovery;
+        if recovery > Duration::ZERO {
+            self.recovery_virtual.record(recovery);
+        }
+    }
+
+    /// Fold the router-side merge stage into the report: the merge runs
+    /// after the scatter wall-clock window closed, so it extends `wall`.
+    fn finish_merge(&self, report: &mut ClusterQueryReport, merge: Duration) {
+        report.merge = merge;
+        report.wall += merge;
+        self.merge.record(merge);
+        self.wall.record(report.wall);
+    }
 }
 
 /// Bytes sorting strictly after every key whose leading value is `v`.

@@ -7,7 +7,7 @@
 //! itself, waiting only for tasks a helper actually claimed — never for a
 //! helper busy with another caller's job, which joins in if it frees up
 //! first. One task or one worker runs inline. Metrics land in the
-//! registry passed per execution.
+//! registry the owning cluster last set (`set_metrics`).
 
 use crate::report::Dispatch;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -158,6 +158,16 @@ pub struct ShardExecutor {
     tasks: AtomicU64,
     inline_runs: AtomicU64,
     helper_tasks: AtomicU64,
+    metrics: ExecutorMetrics,
+}
+
+sts_obs::handles! {
+    /// The `executor.*` metrics, each resolved on its first record.
+    struct ExecutorMetrics {
+        tasks: Counter = "executor.tasks",
+        inline: Counter = "executor.inline",
+        helper_tasks: Counter = "executor.helper_tasks",
+    }
 }
 
 impl ShardExecutor {
@@ -169,6 +179,7 @@ impl ShardExecutor {
             tasks: AtomicU64::new(0),
             inline_runs: AtomicU64::new(0),
             helper_tasks: AtomicU64::new(0),
+            metrics: ExecutorMetrics::new(&sts_obs::global_handle()),
         };
         executor.set_config(config);
         executor
@@ -183,6 +194,11 @@ impl ShardExecutor {
         };
     }
 
+    /// Record the `executor.*` metrics into `obs` from now on.
+    pub(crate) fn set_metrics(&mut self, obs: &Arc<Registry>) {
+        self.metrics = ExecutorMetrics::new(obs);
+    }
+
     /// Cumulative counters since construction.
     pub fn stats(&self) -> ExecutorStats {
         ExecutorStats {
@@ -193,11 +209,10 @@ impl ShardExecutor {
     }
 
     /// Run `work` on every task — on the caller's thread or a helper's —
-    /// and return the results in task order. Metrics land in `obs`; a panic
-    /// in `work` resumes on the caller once every task has finished.
-    pub fn execute<T: Sync, R: Send>(
+    /// and return the results in task order. A panic in `work` resumes on
+    /// the caller once every task has finished.
+    pub(crate) fn execute<T: Sync, R: Send>(
         &self,
-        obs: &Registry,
         tasks: &[T],
         work: impl Fn(&T) -> R + Sync,
     ) -> (Vec<R>, Dispatch) {
@@ -206,11 +221,11 @@ impl ShardExecutor {
             return Default::default();
         }
         self.tasks.fetch_add(n as u64, Ordering::Relaxed);
-        obs.counter("executor.tasks").add(n as u64);
+        self.metrics.tasks.add(n as u64);
         let workers = self.worker_count(n);
         if workers == 1 {
             self.inline_runs.fetch_add(1, Ordering::Relaxed);
-            obs.counter("executor.inline").inc();
+            self.metrics.inline.inc();
             return (tasks.iter().map(work).collect(), Dispatch::default());
         }
         let slots: Vec<_> = (0..n).map(|_| Mutex::new(None)).collect();
@@ -229,7 +244,7 @@ impl ShardExecutor {
         }
         let ran = helper_tasks as u64;
         self.helper_tasks.fetch_add(ran, Ordering::Relaxed);
-        obs.counter("executor.helper_tasks").add(ran);
+        self.metrics.helper_tasks.add(ran);
         let dispatch = Dispatch {
             helpers_woken: u8::try_from(helpers_woken).unwrap_or(u8::MAX),
             helper_tasks: u16::try_from(helper_tasks).unwrap_or(u16::MAX),
@@ -269,16 +284,23 @@ mod tests {
         ShardExecutor::new(ExecutorConfig { workers })
     }
 
+    /// An executor recording into a fresh registry of its own.
+    fn exec_on(workers: usize) -> (ShardExecutor, Arc<Registry>) {
+        let (mut e, obs) = (exec(workers), Arc::new(Registry::new()));
+        e.set_metrics(&obs);
+        (e, obs)
+    }
+
     #[test]
     fn every_task_runs_once_in_task_order_and_drop_joins_the_helpers() {
         let caller = thread::current().id();
         for workers in [1, 2, 4, 8] {
-            let (e, obs) = (exec(workers), Registry::new());
+            let (e, obs) = exec_on(workers);
             for n in [1usize, 2, 37].repeat(50) {
                 // Tasks and tallies are borrowed, non-`'static` stack data.
                 let tasks: Vec<String> = (0..n).map(|i| i.to_string()).collect();
                 let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-                let (got, d) = e.execute(&obs, &tasks, |t| {
+                let (got, d) = e.execute(&tasks, |t| {
                     assert!(n.min(workers) > 1 || thread::current().id() == caller);
                     let i: usize = t.parse().unwrap();
                     runs[i].fetch_add(1, Relaxed);
@@ -314,14 +336,14 @@ mod tests {
 
     #[test]
     fn the_caller_finishes_the_rest_then_waits_for_the_claimed_task() {
-        let (e, obs) = (exec(2), Registry::new());
+        let e = exec(2);
         let caller = thread::current().id();
         // Tasks 0 and 1 meet at a barrier, so they run on two threads; the
         // helper's then blocks until the other five tasks are done.
         let both_claimed = Barrier::new(2);
         let (done, released) = (AtomicUsize::new(0), AtomicBool::new(false));
         let tasks: Vec<usize> = (0..6).collect();
-        let (got, d) = e.execute(&obs, &tasks, |&t| {
+        let (got, d) = e.execute(&tasks, |&t| {
             if t < 2 {
                 both_claimed.wait();
                 let on_helper = thread::current().id() != caller;
@@ -339,11 +361,11 @@ mod tests {
 
     #[test]
     fn a_task_panic_reaches_the_caller_and_the_pool_survives_it() {
-        let (e, obs) = (exec(4), Registry::new());
+        let e = exec(4);
         let (made, token) = (AtomicUsize::new(0), Arc::new(()));
         let tasks: Vec<usize> = (0..16).collect();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            e.execute(&obs, &tasks, |&t| {
+            e.execute(&tasks, |&t| {
                 assert!(t != 5, "task five fails");
                 made.fetch_add(1, Relaxed);
                 Arc::clone(&token)
@@ -353,16 +375,16 @@ mod tests {
         assert_eq!(*message.downcast::<&str>().unwrap(), "task five fails");
         // The other tasks still ran, and no result they made is left alive.
         assert_eq!((made.load(Relaxed), Arc::strong_count(&token)), (15, 1));
-        assert_eq!(e.execute(&obs, &tasks, |&t| t * 3).0[15], 45);
+        assert_eq!(e.execute(&tasks, |&t| t * 3).0[15], 45);
     }
 
     #[test]
     fn concurrent_callers_share_one_executor() {
-        let (e, obs) = (exec(3), Registry::new());
+        let e = exec(3);
         let hammer = |base: usize| {
             let tasks: Vec<usize> = (base..base + 9).collect();
             let want: Vec<usize> = tasks.iter().map(|t| t * 7).collect();
-            (0..500).for_each(|_| assert_eq!(e.execute(&obs, &tasks, |&t| t * 7).0, want));
+            (0..500).for_each(|_| assert_eq!(e.execute(&tasks, |&t| t * 7).0, want));
         };
         thread::scope(|s| {
             s.spawn(|| hammer(1));
@@ -384,14 +406,15 @@ mod tests {
     }
 
     #[test]
-    fn metrics_land_in_the_registry_passed_per_call() {
-        // Every fan-out records into the registry it was handed.
-        let (e, a, b) = (exec(2), Registry::new(), Registry::new());
+    fn metrics_land_in_the_registry_set_last() {
+        // Every fan-out records into the registry set before it.
+        let ((mut e, a), b) = (exec_on(2), Arc::new(Registry::new()));
         let tasks: Vec<usize> = vec![0, 1, 2, 3];
-        e.execute(&a, &tasks, |&t| t);
+        e.execute(&tasks, |&t| t);
         assert_eq!(a.counter("executor.tasks").get(), 4);
         assert_eq!(b.counter("executor.tasks").get(), 0);
-        e.execute(&b, &tasks, |&t| t);
+        e.set_metrics(&b);
+        e.execute(&tasks, |&t| t);
         assert_eq!(a.counter("executor.tasks").get(), 4);
         assert_eq!(b.counter("executor.tasks").get(), 4);
         let on_helpers = |r: &Registry| r.counter("executor.helper_tasks").get();

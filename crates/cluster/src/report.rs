@@ -77,6 +77,10 @@ pub struct ClusterQueryReport {
     pub wall: Duration,
     /// Router-side routing stage: chunk-map targeting time.
     pub routing: Duration,
+    /// Router-side planning stage: building the candidate plans once
+    /// for every target shard. Each shard's own `stats.planning` is
+    /// only its trial ranking of them.
+    pub planning: Duration,
     /// Router-side merge stage: gathering, flattening, shaping and/or
     /// partial-aggregation merging after the shards answered.
     pub merge: Duration,

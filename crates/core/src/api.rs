@@ -41,6 +41,22 @@ pub struct StStore {
     plan_cache: Option<PlanCache>,
     /// Result-page cache (`None` when disabled, the default).
     result_cache: Option<ResultCache>,
+    /// The facade's metrics, resolved on the cluster's registry.
+    metrics: FacadeMetrics,
+}
+
+sts_obs::handles! {
+    /// The facade's query-path metrics, each resolved on its first record.
+    struct FacadeMetrics {
+        plan_hit: Counter = "router.plancache.hit",
+        plan_miss: Counter = "router.plancache.miss",
+        route_refresh: Counter = "router.plancache.route_refresh",
+        result_hit: Counter = "router.resultcache.hit",
+        result_miss: Counter = "router.resultcache.miss",
+        result_stale: Counter = "router.resultcache.stale",
+        covering: Histogram = "query.covering",
+        covering_ranges: Histogram = "query.covering_ranges",
+    }
 }
 
 /// What [`StStore::plan_query`] hands the execution paths.
@@ -84,6 +100,8 @@ impl StStore {
                 .then(|| PlanCache::new(router.plan_cache_entries, router.plan_cache_shards)),
             result_cache: (router.result_cache_entries > 0)
                 .then(|| ResultCache::new(router.result_cache_entries, router.plan_cache_shards)),
+            // A new cluster records into the process-wide registry.
+            metrics: FacadeMetrics::new(&sts_obs::global_handle()),
         }
     }
 
@@ -164,9 +182,8 @@ impl StStore {
             query,
             &self.config.router,
         );
-        let obs = self.metrics_registry();
         if let Some(entry) = cache.get(&key) {
-            obs.counter("router.plancache.hit").inc();
+            self.metrics.plan_hit.inc();
             let filter = assemble_filter(query, self.curve.is_some().then_some(&entry.ranges[..]));
             let mut router = RouterReport {
                 plan_cache: CacheOutcome::Hit,
@@ -178,7 +195,7 @@ impl StStore {
             } else {
                 // The covering is still good; only the routing half
                 // went stale (split/migration/zones since the fill).
-                obs.counter("router.plancache.route_refresh").inc();
+                self.metrics.route_refresh.inc();
                 let fresh = Arc::new(self.cluster.route_plan(&filter));
                 cache.insert(
                     key,
@@ -197,7 +214,7 @@ impl StStore {
                 router,
             };
         }
-        obs.counter("router.plancache.miss").inc();
+        self.metrics.plan_miss.inc();
         let (ranges, hilbert_time) = match self.curve.as_ref() {
             None => (Arc::new(Vec::new()), Duration::ZERO),
             Some(grid) => {
@@ -236,6 +253,7 @@ impl StStore {
     /// process-wide registry, so concurrent stores never bleed
     /// counters into each other.
     pub fn set_metrics_registry(&mut self, obs: Arc<Registry>) {
+        self.metrics = FacadeMetrics::new(&obs);
         self.cluster.set_metrics_registry(obs);
     }
 
@@ -285,14 +303,13 @@ impl StStore {
     /// covering histogram (Hilbert methods decompose on every query)
     /// and the slow-query profiler.
     fn observe_query(&self, kind: QueryKind, query: StQuery, report: &QueryReport) {
-        let obs = self.metrics_registry();
         if self.curve.is_some() {
-            obs.record("query.covering", report.hilbert_time);
+            let m = &self.metrics;
+            m.covering.record(report.hilbert_time);
             // Distribution of covering sizes, not just a running total:
             // obs-report renders p50/p95/max so a budget regression (or a
             // pathological query shape) is visible at a glance.
-            obs.histogram("query.covering_ranges")
-                .record_value(report.hilbert_ranges as u64);
+            m.covering_ranges.record_value(report.hilbert_ranges as u64);
         }
         self.profiler
             .observe(kind, self.config.approach, query, report);
@@ -458,9 +475,7 @@ impl StStore {
             let writes = self.cluster.write_generation();
             match cache.get(key) {
                 Some(entry) if entry.valid_at(epoch, writes) => {
-                    self.metrics_registry()
-                        .counter("router.resultcache.hit")
-                        .inc();
+                    self.metrics.result_hit.inc();
                     let report = QueryReport {
                         cluster: entry.hit_report(started.elapsed()),
                         hilbert_time: Duration::ZERO,
@@ -478,15 +493,11 @@ impl StStore {
                     // A page exists but the data moved on; drop it and
                     // recompute (the fill below re-stamps it).
                     cache.invalidate(key);
-                    self.metrics_registry()
-                        .counter("router.resultcache.stale")
-                        .inc();
+                    self.metrics.result_stale.inc();
                     result_outcome = CacheOutcome::Stale;
                 }
                 None => {
-                    self.metrics_registry()
-                        .counter("router.resultcache.miss")
-                        .inc();
+                    self.metrics.result_miss.inc();
                     result_outcome = CacheOutcome::Miss;
                 }
             }
@@ -542,7 +553,7 @@ impl StStore {
     /// MongoDB-style `explain("executionStats")`: execute the query and
     /// return the stage-timing document instead of the result set —
     /// per-shard planning/indexScan/fetchFilter/recovery micros plus the
-    /// router's covering/routing/merge stages and the router-tier
+    /// router's covering/routing/planning/merge stages and the router-tier
     /// cache counters.
     pub fn st_explain(&self, query: &StQuery) -> Document {
         let mut d = self.st_query(query).1.explain();

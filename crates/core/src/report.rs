@@ -77,6 +77,7 @@ impl QueryReport {
                 "ranges" => self.hilbert_ranges as i64,
             },
             "routingMicros" => micros(self.cluster.routing),
+            "planningMicros" => micros(self.cluster.planning),
             "executor" => doc! {
                 "mode" => if dispatch.helpers_woken == 0 { "inline" } else { "pool" },
                 "helpersWoken" => i64::from(dispatch.helpers_woken),
@@ -99,7 +100,8 @@ impl QueryReport {
     /// Build the query's causal span tree on the virtual clock.
     ///
     /// The timeline models the *concurrent* deployment: the router runs
-    /// `covering` then `routing` serially; every shard's execution then
+    /// `covering`, `routing` and `planning` (the candidate plans, built
+    /// once for every target) serially; every shard's execution then
     /// starts at the same instant on its own track and lasts that
     /// shard's `total_time()` (measured stages plus virtual recovery
     /// delay); the router's `merge` starts once the slowest shard is
@@ -110,8 +112,9 @@ impl QueryReport {
         let mut t = Trace::new(id);
         let covering = self.hilbert_time;
         let routing = self.cluster.routing;
+        let planning = self.cluster.planning;
         let merge = self.cluster.merge;
-        let shards_start = covering + routing;
+        let shards_start = covering + routing + planning;
         let shard_window = self.cluster.max_shard_total_time();
         let root = t.add_root(
             "stQuery",
@@ -136,13 +139,11 @@ impl QueryReport {
             );
             t.set_arg(cov, "ranges", self.hilbert_ranges);
         }
-        t.add_child(
-            root,
-            Stage::Routing.name(),
-            Track::Router,
-            covering,
-            routing,
-        );
+        let mut at = covering;
+        for (stage, took) in [(Stage::Routing, routing), (Stage::Planning, planning)] {
+            t.add_child(root, stage.name(), Track::Router, at, took);
+            at += took;
+        }
         for s in &self.cluster.per_shard {
             let b = s.stage_breakdown();
             let track = Track::Shard(s.shard);
@@ -287,6 +288,7 @@ mod tests {
                 per_shard: vec![slow],
                 wall: Duration::from_micros(150),
                 routing: Duration::from_micros(4),
+                planning: Duration::from_micros(3),
                 merge: Duration::from_micros(6),
                 ..Default::default()
             },
@@ -302,6 +304,7 @@ mod tests {
             Some(&Value::String("deadbeef0042cafe".into()))
         );
         assert_eq!(e.get("routingMicros"), Some(&Value::Int64(4)));
+        assert_eq!(e.get("planningMicros"), Some(&Value::Int64(3)));
         assert_eq!(e.get("mergeMicros"), Some(&Value::Int64(6)));
         let cov = match e.get("covering") {
             Some(Value::Document(d)) => d,

@@ -537,6 +537,7 @@ impl ResultEntry {
         }
         r.wall = wall;
         r.routing = Duration::ZERO;
+        r.planning = Duration::ZERO;
         r.merge = Duration::ZERO;
         r.dispatch = Default::default();
         r

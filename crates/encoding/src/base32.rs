@@ -31,22 +31,6 @@ pub fn base32_encode(bits: u64, nbits: u32, chars: usize) -> String {
     s
 }
 
-/// Render a curve cell index (the `hilbertIndex` value of either curve,
-/// Hilbert or Z-order) as a GeoHash-style base32 code.
-///
-/// The index's `2 * order` significant bits are left-aligned and
-/// encoded at the natural precision `ceil(2 * order / 5)` characters.
-/// For Z-order truncating the code truncates the cell bit string, so
-/// codes inherit GeoHash's prefix-containment reading; for Hilbert the
-/// code is an opaque but stable label.
-pub fn curve_cell_code(index: u64, order: u32) -> String {
-    let nbits = 2 * order;
-    assert!((1..=62).contains(&nbits), "unsupported curve order {order}");
-    assert!(index < 1 << nbits, "index {index} exceeds {nbits} bits");
-    let chars = nbits.div_ceil(5) as usize;
-    base32_encode(index << (64 - nbits), nbits, chars)
-}
-
 /// Decode a base32 GeoHash string into a left-aligned bit string and its
 /// length in bits. Returns `None` on characters outside the alphabet.
 pub fn base32_decode(s: &str) -> Option<(u64, u32)> {
@@ -91,26 +75,5 @@ mod tests {
     #[test]
     fn zero_bits_encode_as_zero_chars() {
         assert_eq!(base32_encode(0, 0, 3), "000");
-    }
-
-    #[test]
-    fn curve_cell_codes_are_stable_and_distinct() {
-        // Order 13 → 26 bits → 6 characters, zero-padded like geohash
-        // truncation.
-        let a = curve_cell_code(0, 13);
-        assert_eq!(a.len(), 6);
-        assert_eq!(a, "000000");
-        let b = curve_cell_code((1 << 26) - 1, 13);
-        assert_ne!(a, b);
-        // Round-trips through the decoder to the same leading bits.
-        let (bits, n) = base32_decode(&b).unwrap();
-        assert_eq!(n, 30);
-        assert_eq!(bits >> (64 - 26), (1 << 26) - 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds")]
-    fn curve_cell_code_rejects_out_of_range_index() {
-        curve_cell_code(1 << 26, 13);
     }
 }

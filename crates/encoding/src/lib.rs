@@ -14,7 +14,7 @@ mod base32;
 mod keys;
 mod varint;
 
-pub use base32::{base32_decode, base32_encode, curve_cell_code, GEOHASH_ALPHABET};
+pub use base32::{base32_decode, base32_encode, GEOHASH_ALPHABET};
 pub use keys::{
     decode_value, encode_value, encode_value_into, encoded_len, within_nesting_limit, KeyReader,
     KeyWriter, MAX_NESTING, RANK_MAX, RANK_MIN,

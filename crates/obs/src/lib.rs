@@ -9,7 +9,8 @@
 //!   lock-free recording and p50/p95/p99 readout ([`histogram`]);
 //! * [`Registry`] — a process-wide name → metric table. Recording is
 //!   an atomic op; the registry lock is only taken to *look up* a
-//!   metric (shared read lock) or create it on first use;
+//!   metric (shared read lock) or create it on first use, and a
+//!   [`Handle`] looks its metric up once;
 //! * [`Span`] — a drop-guard timer that records its elapsed wall time
 //!   into a histogram ([`span`]);
 //! * [`Stage`] / [`StageBreakdown`] — the query-path stage model
@@ -54,7 +55,7 @@ pub mod trace;
 
 pub use alloc::{AllocSpan, CountingAllocator};
 pub use histogram::{Histogram, HistogramSnapshot};
-pub use registry::{global, global_handle, Counter, Gauge, Registry, RegistrySnapshot};
+pub use registry::{global, global_handle, Counter, Gauge, Handle, Registry, RegistrySnapshot};
 pub use span::Span;
 pub use stage::{Stage, StageBreakdown};
 pub use trace::{SpanId, SpanValue, Trace, TraceError, TraceId, TraceSpan, Track};

@@ -1,15 +1,17 @@
 //! Name → metric registry with a process-wide default instance.
 //!
 //! Recording through a registered metric is a plain atomic op; the
-//! registry's `RwLock` is only touched to *resolve* a name (shared
-//! read lock on the hot path, exclusive lock once per metric to create
-//! it). Call sites that care can resolve once and cache the `Arc`.
+//! registry's `RwLock` is only touched to *resolve* a name (a shared
+//! read lock and a map walk, or an exclusive lock once per metric to
+//! create it). The query path resolves each metric once per owner: a
+//! shard, the router, the executor and the store facade each hold a
+//! small struct of [`Handle`]s, built when the owner is and rebuilt
+//! when its registry is rescoped.
 
 use crate::histogram::Histogram;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
-use std::time::Duration;
 
 /// A monotonically increasing count.
 #[derive(Default)]
@@ -83,11 +85,6 @@ impl Registry {
         get_or_create(&self.histograms, name)
     }
 
-    /// Record a duration into a named histogram (resolve + record).
-    pub fn record(&self, name: &str, d: Duration) {
-        self.histogram(name).record(d);
-    }
-
     /// Snapshot every metric, sorted by name.
     pub fn snapshot(&self) -> RegistrySnapshot {
         RegistrySnapshot {
@@ -127,6 +124,83 @@ impl Registry {
         for h in self.histograms.read().unwrap().values() {
             h.reset();
         }
+    }
+}
+
+/// A metric handle: resolved by name on its first record, then held,
+/// so later records touch neither the lock nor the map. Until that
+/// first record the registry lists no such metric — exactly what a
+/// by-name call at the same site would leave.
+pub struct Handle<T> {
+    obs: Arc<Registry>,
+    name: &'static str,
+    metric: OnceLock<Arc<T>>,
+}
+
+impl<T> Handle<T> {
+    /// The metric `name` of `obs`, not yet resolved.
+    pub fn new(obs: &Arc<Registry>, name: &'static str) -> Self {
+        Handle {
+            obs: Arc::clone(obs),
+            name,
+            metric: OnceLock::new(),
+        }
+    }
+}
+
+/// Declare a struct of metric [`Handle`]s, one `field: Kind = "name"`
+/// line per metric (`Kind` is `Counter` or `Histogram`), with a private
+/// `new(obs: &Arc<Registry>)` that binds every handle to `obs`.
+///
+/// ```
+/// sts_obs::handles! {
+///     /// What one owner records.
+///     struct Metrics {
+///         queries: Counter = "router.queries",
+///         wall: Histogram = "router.wall",
+///     }
+/// }
+/// let obs = std::sync::Arc::new(sts_obs::Registry::new());
+/// Metrics::new(&obs).queries.inc();
+/// assert_eq!(obs.snapshot().counter("router.queries"), Some(1));
+/// assert!(obs.snapshot().histogram("router.wall").is_none());
+/// ```
+#[macro_export]
+macro_rules! handles {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $($field:ident: $kind:ident = $metric:literal),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $($field: $crate::Handle<$crate::$kind>,)*
+        }
+
+        impl $name {
+            fn new(obs: &::std::sync::Arc<$crate::Registry>) -> Self {
+                $name {
+                    $($field: $crate::Handle::new(obs, $metric),)*
+                }
+            }
+        }
+    };
+}
+
+impl std::ops::Deref for Handle<Counter> {
+    type Target = Counter;
+
+    fn deref(&self) -> &Counter {
+        self.metric.get_or_init(|| self.obs.counter(self.name))
+    }
+}
+
+impl std::ops::Deref for Handle<Histogram> {
+    type Target = Histogram;
+
+    fn deref(&self) -> &Histogram {
+        self.metric.get_or_init(|| self.obs.histogram(self.name))
     }
 }
 
@@ -191,6 +265,7 @@ pub fn global_handle() -> Arc<Registry> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn counters_accumulate_and_snapshot() {
@@ -227,11 +302,29 @@ mod tests {
     fn reset_zeroes_but_keeps_names() {
         let r = Registry::new();
         r.counter("c").add(9);
-        r.record("h", Duration::from_millis(1));
+        r.histogram("h").record(Duration::from_millis(1));
         r.reset();
         let s = r.snapshot();
         assert_eq!(s.counter("c"), Some(0));
         assert_eq!(s.histogram("h").unwrap().count, 0);
+    }
+
+    #[test]
+    fn a_handle_registers_its_metric_on_first_record_only() {
+        let r = Arc::new(Registry::new());
+        let (hits, lat) = (
+            Handle::<Counter>::new(&r, "hits"),
+            Handle::<Histogram>::new(&r, "lat"),
+        );
+        let s = r.snapshot();
+        assert!(s.counters.is_empty() && s.histograms.is_empty());
+        hits.add(2);
+        hits.inc();
+        lat.record(Duration::from_micros(5));
+        let s = r.snapshot();
+        assert_eq!(s.counter("hits"), Some(3));
+        assert_eq!(s.histogram("lat").map(|h| h.count), Some(1));
+        assert!(Arc::ptr_eq(hits.metric.get().unwrap(), &r.counter("hits")));
     }
 
     #[test]

@@ -7,11 +7,17 @@
 //! |---------------|---------------|-------|
 //! | `Covering`    | mongos (curve range generation) | wall |
 //! | `Routing`     | mongos (chunk-map targeting)    | wall |
-//! | `Planning`    | each shard (plan choice + trial runs) | wall |
+//! | `Planning`    | mongos (candidate plans, built once per query), then each shard (trial ranking of those plans) | wall |
 //! | `IndexScan`   | each shard (B+tree range/skip scan)   | wall |
 //! | `FetchFilter` | each shard (doc fetch + residual filter) | wall |
 //! | `Recovery`    | router, per shard (injected latency + backoff) | **virtual** |
 //! | `Merge`       | mongos (gather/flatten/shape/merge)  | wall |
+//!
+//! Every shard of a collection has the same index specs, so the router
+//! builds one candidate list per query and hands it to every target;
+//! a shard's own `Planning` time is only its trial ranking of that
+//! list, zero trials when there is one candidate. `explain()` reports
+//! the router's part as a top-level `planningMicros`.
 //!
 //! The `Recovery` stage is the virtual-time bridge: under fault
 //! injection the router *sums* injected latency and backoff instead of
@@ -27,7 +33,8 @@ pub enum Stage {
     Covering,
     /// Router chunk-map targeting.
     Routing,
-    /// Shard-local plan selection, including trial executions.
+    /// Plan selection: the router builds the candidate plans once,
+    /// then each shard ranks them by trial execution.
     Planning,
     /// B+tree index scanning (keys examined, seeks).
     IndexScan,
@@ -85,7 +92,7 @@ impl std::fmt::Display for Stage {
 /// shard's virtual delay on top.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StageBreakdown {
-    /// Plan selection (incl. trial executions).
+    /// The shard's trial ranking of the router's candidate plans.
     pub planning: Duration,
     /// B+tree scanning.
     pub index_scan: Duration,

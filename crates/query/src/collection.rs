@@ -5,7 +5,6 @@ use crate::explain::ExecutionStats;
 use crate::filter::Filter;
 use crate::plan::QueryPlan;
 use crate::planner::Planner;
-use crate::shape::QueryShape;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use sts_document::{check_encodable, Document};
@@ -34,7 +33,7 @@ pub struct LocalCollection {
     /// a cluster can rescope all its shards onto a private one so
     /// concurrent stores (benchmark approaches, parallel tests) never
     /// bleed metrics into each other.
-    obs: Arc<Registry>,
+    metrics: ShardMetrics,
     /// Highest published insert epoch; records stamped above it are
     /// staged and invisible. Shared across shards of a cluster so one
     /// store is the whole batch's commit point.
@@ -51,7 +50,7 @@ impl Default for LocalCollection {
         LocalCollection {
             store: CollectionStore::default(),
             indexes: IndexManager::default(),
-            obs: sts_obs::global_handle(),
+            metrics: ShardMetrics::new(&sts_obs::global_handle()),
             committed: Arc::new(AtomicU64::new(0)),
             scratch: Mutex::new(QueryScratch::new()),
         }
@@ -65,8 +64,8 @@ impl LocalCollection {
     }
 
     /// Redirect this collection's stage metrics to `obs`.
-    pub fn set_obs(&mut self, obs: Arc<Registry>) {
-        self.obs = obs;
+    pub fn set_obs(&mut self, obs: &Arc<Registry>) {
+        self.metrics = ShardMetrics::new(obs);
     }
 
     /// Create an index over existing and future documents.
@@ -223,35 +222,40 @@ impl LocalCollection {
         planner: &Planner,
         filter: &Filter,
     ) -> (Vec<Document>, ExecutionStats) {
-        self.find_shaped(planner, &QueryShape::analyze(filter))
+        self.find_among(planner, filter, &planner.candidates(self, filter))
     }
 
-    /// [`find_with_planner`](Self::find_with_planner) for a filter the
-    /// caller (the cluster router) has already analyzed.
-    pub fn find_shaped(
+    /// Execute the best of `plans`, candidates built for `filter` over
+    /// this collection's index specs (the cluster router builds them
+    /// once per query for every target shard). `stats.planning` is the
+    /// time this shard spent ranking them: zero trials for one
+    /// candidate, a bounded trial each for several. Panics if `plans`
+    /// is empty; the builder always returns at least the fallback scan.
+    pub fn find_among(
         &self,
         planner: &Planner,
-        shape: &QueryShape,
+        filter: &Filter,
+        plans: &[QueryPlan],
     ) -> (Vec<Document>, ExecutionStats) {
-        let filter = shape.filter();
         let planning_start = std::time::Instant::now();
-        let plan = planner.choose_for(self, shape);
+        let plan = &plans[planner.rank(self, filter, plans)];
         let planning = planning_start.elapsed();
         let mut scratch = self
             .scratch
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let mut stats = execute_plan_into(self, filter, &plan, None, true, &mut scratch);
+        let mut stats = execute_plan_into(self, filter, plan, None, true, &mut scratch);
         // Draining into the caller's Vec happens outside the measured
         // hot section: handing results upward costs one (amortized)
         // reallocation here, not per-key work inside the scan loop.
         let docs = scratch.drain().map(|(_, d)| d).collect();
         drop(scratch);
         stats.planning = planning;
-        self.obs.record("shard.planning", stats.planning);
-        self.obs.record("shard.index_scan", stats.scan_time());
-        self.obs.record("shard.fetch_filter", stats.fetch_time);
-        self.obs.counter("shard.exec_allocs").add(stats.allocations);
+        let m = &self.metrics;
+        m.planning.record(stats.planning);
+        m.index_scan.record(stats.scan_time());
+        m.fetch_filter.record(stats.fetch_time);
+        m.exec_allocs.add(stats.allocations);
         (docs, stats)
     }
 
@@ -278,6 +282,16 @@ impl LocalCollection {
             .map(|(_, d)| d)
             .filter(|d| filter.matches(d))
             .collect()
+    }
+}
+
+sts_obs::handles! {
+    /// A shard's stage metrics, each resolved on its first record.
+    struct ShardMetrics {
+        planning: Histogram = "shard.planning",
+        index_scan: Histogram = "shard.index_scan",
+        fetch_filter: Histogram = "shard.fetch_filter",
+        exec_allocs: Counter = "shard.exec_allocs",
     }
 }
 

@@ -8,7 +8,7 @@ use crate::shape::QueryShape;
 use std::sync::Arc;
 use sts_document::Value;
 use sts_geo::{cells_to_ranges, cover_rect};
-use sts_index::{FieldKind, IndexSpec, ScanRange};
+use sts_index::{FieldKind, IndexManager, IndexSpec, ScanRange};
 
 /// The query planner.
 ///
@@ -46,31 +46,32 @@ impl Planner {
     /// Generate every candidate plan for `filter` over the collection's
     /// indexes. Always returns at least one plan (the fallback scan).
     pub fn candidates(&self, coll: &LocalCollection, filter: &Filter) -> Vec<QueryPlan> {
-        self.candidates_for(coll, &QueryShape::analyze(filter))
+        self.candidates_over(coll.indexes(), &QueryShape::analyze(filter))
     }
 
-    /// [`candidates`](Self::candidates) for an already analyzed filter.
-    fn candidates_for(&self, coll: &LocalCollection, shape: &QueryShape) -> Vec<QueryPlan> {
+    /// The candidate builder: every plan `indexes` can serve for an
+    /// analyzed filter, or the fallback scan when none can. It reads
+    /// only the index specs, which every shard of a cluster shares, so
+    /// the router builds one list per query and each shard ranks it.
+    pub fn candidates_over(&self, indexes: &IndexManager, shape: &QueryShape) -> Vec<QueryPlan> {
         let mut plans = Vec::new();
-        for index in coll.indexes().iter() {
+        for index in indexes.iter() {
             if let Some(plan) = self.plan_for_index(index.spec(), shape) {
                 plans.push(plan);
             }
         }
         if plans.is_empty() {
-            plans.push(self.fallback(coll));
+            plans.push(self.fallback(indexes));
         }
         plans
     }
 
     /// Unbounded scan through whichever index exists (prefer `_id`).
-    fn fallback(&self, coll: &LocalCollection) -> QueryPlan {
-        let name = coll
-            .indexes()
+    fn fallback(&self, indexes: &IndexManager) -> QueryPlan {
+        let name = indexes
             .get("_id")
-            .map(|i| i.spec().name.clone())
-            .or_else(|| coll.indexes().iter().next().map(|i| i.spec().name.clone()))
-            .unwrap_or_else(|| "_id".to_string());
+            .or_else(|| indexes.iter().next())
+            .map_or_else(|| "_id".to_string(), |i| i.spec().name.clone());
         QueryPlan {
             index_name: name,
             ranges: vec![ScanRange::whole()],
@@ -223,36 +224,40 @@ impl Planner {
 
     /// Choose a plan by trial execution (multi-planner).
     pub fn choose(&self, coll: &LocalCollection, filter: &Filter) -> QueryPlan {
-        self.choose_for(coll, &QueryShape::analyze(filter))
+        let mut plans = self.candidates(coll, filter);
+        plans.swap_remove(self.rank(coll, filter, &plans))
     }
 
-    /// [`choose`](Self::choose) for an already analyzed filter — the
-    /// router analyzes once per query, not once per shard.
-    pub fn choose_for(&self, coll: &LocalCollection, shape: &QueryShape) -> QueryPlan {
-        let filter = shape.filter();
-        let mut plans = self.candidates_for(coll, shape);
+    /// The trial ranker: the position in `plans` of the most productive
+    /// candidate on this shard's data. A lone candidate wins untried;
+    /// several each run for `trial_works` (ties go to fewer works, then
+    /// to the earlier candidate).
+    pub(crate) fn rank(
+        &self,
+        coll: &LocalCollection,
+        filter: &Filter,
+        plans: &[QueryPlan],
+    ) -> usize {
         if plans.len() == 1 {
-            return plans.pop().unwrap();
+            return 0;
         }
         let budget = Some(ExecBudget {
             max_works: self.trial_works,
         });
-        let mut best: Option<(f64, u64, QueryPlan)> = None;
-        for plan in plans {
-            let (_, stats) = execute_plan(coll, filter, &plan, budget, false);
+        let mut best: Option<(f64, u64, usize)> = None;
+        for (i, plan) in plans.iter().enumerate() {
+            let (_, stats) = execute_plan(coll, filter, plan, budget, false);
             let score = stats.productivity();
             let works = stats.works();
-            let better = match &best {
+            let better = match best {
                 None => true,
-                Some((bscore, bworks, _)) => {
-                    score > *bscore || (score == *bscore && works < *bworks)
-                }
+                Some((bscore, bworks, _)) => score > bscore || (score == bscore && works < bworks),
             };
             if better {
-                best = Some((score, works, plan));
+                best = Some((score, works, i));
             }
         }
-        best.expect("candidates is never empty").2
+        best.map_or(0, |(_, _, i)| i)
     }
 }
 

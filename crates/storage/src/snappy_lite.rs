@@ -87,29 +87,34 @@ fn flush_literals(input: &[u8], start: usize, end: usize, out: &mut Vec<u8>) {
 }
 
 /// Decompress a stream produced by [`compress`]. Returns `None` on any
-/// malformed input.
+/// malformed input, hostile bytes included: no op may write past the
+/// header's length, and the output grows with what the ops write, not
+/// with what the header claims.
 pub fn decompress(stream: &[u8]) -> Option<Vec<u8>> {
     let mut pos = 0usize;
-    let total = read_uvarint(stream, &mut pos)? as usize;
+    let total = read_len(stream, &mut pos)?;
     // Guard absurd headers before allocating.
     if total > (1 << 31) {
         return None;
     }
-    let mut out = Vec::with_capacity(total);
+    // Reserve no more than the stream could spell out as literals;
+    // copies grow the buffer as they write, never past `total`.
+    let mut out = Vec::with_capacity(total.min(stream.len()));
     while pos < stream.len() {
         let op = stream[pos];
         pos += 1;
+        let room = total - out.len();
         match op {
             OP_LITERAL => {
-                let len = read_uvarint(stream, &mut pos)? as usize;
-                let bytes = stream.get(pos..pos + len)?;
-                pos += len;
-                out.extend_from_slice(bytes);
+                let len = read_len(stream, &mut pos)?;
+                let end = pos.checked_add(len).filter(|_| len <= room)?;
+                out.extend_from_slice(stream.get(pos..end)?);
+                pos = end;
             }
             OP_COPY => {
-                let dist = read_uvarint(stream, &mut pos)? as usize;
-                let len = read_uvarint(stream, &mut pos)? as usize;
-                if dist == 0 || dist > out.len() || len < MIN_MATCH {
+                let dist = read_len(stream, &mut pos)?;
+                let len = read_len(stream, &mut pos)?;
+                if dist == 0 || dist > out.len() || len < MIN_MATCH || len > room {
                     return None;
                 }
                 // Overlapping copies are legal (RLE-style); copy bytewise.
@@ -121,11 +126,13 @@ pub fn decompress(stream: &[u8]) -> Option<Vec<u8>> {
             }
             _ => return None,
         }
-        if out.len() > total {
-            return None;
-        }
     }
     (out.len() == total).then_some(out)
+}
+
+/// A varint length, or `None` when it does not fit a `usize`.
+fn read_len(stream: &[u8], pos: &mut usize) -> Option<usize> {
+    usize::try_from(read_uvarint(stream, pos)?).ok()
 }
 
 /// Compressed size without materializing the stream contents beyond
@@ -207,8 +214,86 @@ mod tests {
         assert!(decompress(&[]).is_none());
     }
 
+    /// A stream of the given ops after a `total` header.
+    fn stream(total: u64, ops: &[(u8, &[u64], &[u8])]) -> Vec<u8> {
+        let mut s = Vec::new();
+        write_uvarint(total, &mut s);
+        for &(op, args, bytes) in ops {
+            s.push(op);
+            args.iter().for_each(|&a| write_uvarint(a, &mut s));
+            s.extend_from_slice(bytes);
+        }
+        s
+    }
+
+    #[test]
+    fn a_literal_longer_than_the_stream_is_rejected_not_an_overflow() {
+        // `pos + len` overflowed here before the length was checked.
+        let s = stream(1, &[(OP_LITERAL, &[u64::MAX], b"a")]);
+        assert_eq!(decompress(&s), None);
+        let s = stream(1, &[(OP_LITERAL, &[2], b"a")]);
+        assert_eq!(decompress(&s), None, "runs past the stream's end");
+    }
+
+    #[test]
+    fn a_copy_longer_than_the_header_is_rejected_before_writing() {
+        // Twelve bytes asking for a 2^40-byte copy: it used to push
+        // until the process ran out of memory, checking the length only
+        // after the byte loop.
+        let s = stream(
+            8,
+            &[(OP_LITERAL, &[1], b"a"), (OP_COPY, &[1, 1 << 40], b"")],
+        );
+        assert_eq!(s.len(), 12);
+        assert_eq!(decompress(&s), None);
+        // One byte over the header is just as wrong.
+        let s = stream(8, &[(OP_LITERAL, &[4], b"abcd"), (OP_COPY, &[4, 5], b"")]);
+        assert_eq!(decompress(&s), None);
+        let s = stream(8, &[(OP_LITERAL, &[4], b"abcd"), (OP_COPY, &[4, 4], b"")]);
+        assert_eq!(decompress(&s).as_deref(), Some(&b"abcdabcd"[..]));
+    }
+
+    #[test]
+    fn a_huge_header_reserves_no_more_than_the_stream_holds() {
+        // Five bytes claiming 2 GiB of output.
+        let s = stream(1 << 31, &[]);
+        assert_eq!(s.len(), 5);
+        assert_eq!(decompress(&s), None);
+        let s = stream(1 << 31, &[(OP_LITERAL, &[1], b"a")]);
+        assert_eq!(decompress(&s), None, "a short stream under a big header");
+        assert_eq!(decompress(&stream(u64::MAX, &[])), None);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn prop_arbitrary_bytes_never_panic(bytes in proptest::collection::vec(proptest::num::u8::ANY, 0..256)) {
+            // Whatever comes back is exactly as long as its header says.
+            if let Some(out) = decompress(&bytes) {
+                prop_assert_eq!(Some(out.len()), read_len(&bytes, &mut 0));
+            }
+        }
+
+        #[test]
+        fn prop_damaged_streams_decode_to_none_or_the_input(
+            input in proptest::collection::vec(0u8..4, 0..512),
+            cut in 0usize..1024,
+            flip in 0usize..1024,
+            bit in 0u32..8,
+        ) {
+            let c = compress(&input);
+            let truncated = &c[..cut % (c.len() + 1)];
+            let got = decompress(truncated);
+            prop_assert!(got.is_none() || got.as_deref() == Some(&input[..]));
+            // A flipped literal byte still decodes, to another output of
+            // the header's length; nothing else may come back.
+            let mut flipped = c.clone();
+            flipped[flip % c.len()] ^= 1 << bit;
+            if let Some(out) = decompress(&flipped) {
+                prop_assert_eq!(Some(out.len()), read_len(&flipped, &mut 0));
+            }
+        }
 
         #[test]
         fn prop_roundtrip(input in proptest::collection::vec(proptest::num::u8::ANY, 0..4096)) {

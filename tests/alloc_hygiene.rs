@@ -6,13 +6,14 @@
 //! (scratch buffers at their high-water capacity), executing the same
 //! spatio-temporal query performs **zero** heap allocations inside the
 //! executor hot section on every shard — the scan, fetch, residual
-//! filter and result staging all run out of reused buffers. The two
+//! filter and result staging all run out of reused buffers. The
 //! planning stages before it are held too: a warmed covering allocates
-//! nothing, and routing allocates no more for more intervals.
+//! nothing, routing allocates no more for more intervals, and the
+//! candidate plans are built once per query, not once per target shard.
 
 mod support;
 
-use sts::core::{Approach, StQuery, StoreConfig};
+use sts::core::{Approach, RouterConfig, StQuery, StoreConfig};
 use sts::document::{doc, DateTime, Value};
 use sts::geo::GeoRect;
 use sts::obs::CountingAllocator;
@@ -21,11 +22,16 @@ use sts::obs::CountingAllocator;
 static ALLOC: CountingAllocator = CountingAllocator::new();
 
 fn corpus_store(approach: Approach) -> sts::core::StStore {
+    corpus_store_on(approach, RouterConfig::default())
+}
+
+fn corpus_store_on(approach: Approach, router: RouterConfig) -> sts::core::StStore {
     let mut store = sts::core::StStore::new(StoreConfig {
         approach,
         num_shards: 4,
         max_chunk_bytes: 24 * 1024,
         data_mbr: GeoRect::new(20.0, 35.0, 28.0, 41.5),
+        router,
         ..Default::default()
     });
     let mut i = 0u32;
@@ -197,5 +203,60 @@ fn routing_allocations_do_not_grow_with_the_interval_count() {
     assert!(
         many <= few,
         "routing 64 intervals allocated {many} time(s), 4 intervals {few}"
+    );
+}
+
+/// The router builds a query's candidate plans once and every target
+/// shard ranks the same list, so a fan-out's allocations grow with its
+/// target count by a per-shard constant (the explain copy of the index
+/// name, the shard's result list), not by the plan's size: one more
+/// target costs a 64-interval hil* query no more than a 4-interval one.
+/// The fan-out runs inline on this thread, and the query's time window
+/// lies past the data, so no shard returns a document.
+#[test]
+fn planning_allocations_do_not_grow_with_the_target_shard_count() {
+    use sts::cluster::{ExecutorConfig, QueryExecOptions, RoutePlan};
+    use sts::curve::RangeBudget;
+    use sts::obs::alloc::thread_allocations;
+
+    let router = RouterConfig {
+        executor: ExecutorConfig { workers: 1 },
+        ..RouterConfig::default()
+    };
+    let mut store = corpus_store_on(Approach::HilStar, router);
+    let q = StQuery {
+        t0: DateTime::from_millis(200_000_000),
+        t1: DateTime::from_millis(300_000_000),
+        ..query()
+    };
+    let mut per_extra_shard = |budget: usize| {
+        store.set_range_budget(RangeBudget::new(budget));
+        let filter = store.filter_for(&q);
+        let routed = store.cluster().route_plan(&filter);
+        let fan_out = |targets: Vec<usize>| {
+            let route = RoutePlan {
+                targets,
+                ..routed.clone()
+            };
+            let opts = QueryExecOptions {
+                route: Some(&route),
+                recovery: None,
+            };
+            for _ in 0..2 {
+                store.cluster().query_exec(&filter, opts); // warm-up
+            }
+            let before = thread_allocations();
+            let (docs, report) = store.cluster().query_exec(&filter, opts);
+            let allocated = thread_allocations() - before;
+            assert!(docs.is_empty() && report.nodes() == route.targets.len());
+            allocated
+        };
+        let (one, four) = (fan_out(vec![0]), fan_out(vec![0, 1, 2, 3]));
+        (four - one) / 3
+    };
+    let (few, many) = (per_extra_shard(4), per_extra_shard(64));
+    assert!(
+        many <= few,
+        "one more target shard allocated {many} time(s) at 64 intervals, {few} at 4"
     );
 }

@@ -67,7 +67,11 @@ fn every_stage_present_and_partitioned() {
             assert!(!shards.is_empty(), "{approach}: no shard entries");
             let cluster_total = int_field(&explain, "executionTimeMicros");
             assert!(cluster_total >= 0, "{approach}");
-            for (key, lower) in [("routingMicros", 0), ("mergeMicros", 0)] {
+            for (key, lower) in [
+                ("routingMicros", 0),
+                ("planningMicros", 0),
+                ("mergeMicros", 0),
+            ] {
                 assert!(int_field(&explain, key) >= lower, "{approach} {key}");
             }
             for entry in shards {

@@ -92,8 +92,12 @@ fn clean_traces_have_one_root_and_stage_children() {
             // Fault-free runs never emit recovery spans.
             assert!(spans_named(&trace, "recovery").is_empty(), "{ctx}");
 
-            // The router pipeline is always present.
+            // The router pipeline is always present, the candidate
+            // plans built once on the router's track.
             assert_eq!(spans_named(&trace, "routing").len(), 1, "{ctx}");
+            let planned = spans_named(&trace, "planning");
+            let on_router = planned.iter().filter(|s| s.parent == Some(root.id));
+            assert_eq!(on_router.count(), 1, "{ctx}");
             assert_eq!(spans_named(&trace, "merge").len(), 1, "{ctx}");
 
             // Covering appears iff the approach decomposes the query
