@@ -153,6 +153,8 @@ pub struct Cluster {
     obs: Arc<Registry>,
     /// The router's query-path metrics, resolved on `obs`.
     metrics: RouterMetrics,
+    /// The ingest and balancer metrics, resolved on `obs`.
+    write_metrics: WriteMetrics,
 }
 
 /// Balancer bookkeeping: how much data the cluster has shuffled.
@@ -226,6 +228,7 @@ impl Cluster {
         }
         let faults = FaultInjector::new(config.fault_seed);
         let health = ClusterHealth::new(config.num_shards);
+        let obs = sts_obs::global_handle();
         Cluster {
             executor: ShardExecutor::new(config.executor),
             config,
@@ -240,8 +243,9 @@ impl Cluster {
             epoch,
             routing_gen: AtomicU64::new(0),
             writes: AtomicU64::new(0),
-            obs: sts_obs::global_handle(),
-            metrics: RouterMetrics::new(&sts_obs::global_handle()),
+            metrics: RouterMetrics::new(&obs),
+            write_metrics: WriteMetrics::new(&obs),
+            obs,
         }
     }
 
@@ -260,6 +264,7 @@ impl Cluster {
         }
         self.executor.set_metrics(&obs);
         self.metrics = RouterMetrics::new(&obs);
+        self.write_metrics = WriteMetrics::new(&obs);
         self.obs = obs;
     }
 
@@ -404,7 +409,7 @@ impl Cluster {
         let c = &mut self.chunks.chunks_mut()[cidx];
         c.bytes += size;
         c.docs += 1;
-        self.obs.counter("ingest.docs").inc();
+        self.write_metrics.docs.inc();
         Ok((shard_id, rid))
     }
 
@@ -416,7 +421,7 @@ impl Cluster {
     pub fn commit_batch(&mut self) {
         let next = self.snapshot_epoch() + 1;
         self.epoch.store(next, Ordering::Release);
-        self.obs.counter("ingest.batches").inc();
+        self.write_metrics.batches.inc();
         self.maybe_rebalance();
     }
 
@@ -578,7 +583,7 @@ impl Cluster {
         }
         self.routing_gen.fetch_add(1, Ordering::Release);
         self.health.record_event(min, BalancerEventKind::Split);
-        self.obs.counter("balancer.splits").inc();
+        self.write_metrics.splits.inc();
     }
 
     /// Flag a chunk as unsplittable and log the event.
@@ -678,7 +683,7 @@ impl Cluster {
         for attempt in 0..max_attempts {
             if attempt > 0 {
                 self.migrations.migration_retries += 1;
-                self.obs.counter("balancer.migration_retries").inc();
+                self.write_metrics.migration_retries.inc();
             }
             // Phase 1: copy. Epoch stamps ride along so a staged batch
             // straddling the migration still commits atomically.
@@ -730,14 +735,12 @@ impl Cluster {
                     docs: records.len() as u64,
                 },
             );
-            self.obs.counter("balancer.migrations").inc();
-            self.obs
-                .histogram("balancer.migrations")
-                .record(start.elapsed());
+            self.write_metrics.migrations.inc();
+            self.write_metrics.migration_time.record(start.elapsed());
             return true;
         }
         self.migrations.migrations_aborted += 1;
-        self.obs.counter("balancer.migrations_aborted").inc();
+        self.write_metrics.migrations_aborted.inc();
         self.health.record_event(
             min,
             BalancerEventKind::MigrateAborted { from: src, to: dst },
@@ -1100,6 +1103,20 @@ sts_obs::handles! {
         recovery_virtual: Histogram = "router.recovery_virtual",
         merge: Histogram = "router.merge",
         wall: Histogram = "router.wall",
+    }
+}
+
+sts_obs::handles! {
+    /// The write path's metrics: ingest and the balancer's splits and
+    /// migrations, each resolved on its first record.
+    struct WriteMetrics {
+        docs: Counter = "ingest.docs",
+        batches: Counter = "ingest.batches",
+        splits: Counter = "balancer.splits",
+        migrations: Counter = "balancer.migrations",
+        migration_retries: Counter = "balancer.migration_retries",
+        migrations_aborted: Counter = "balancer.migrations_aborted",
+        migration_time: Histogram = "balancer.migrations",
     }
 }
 

@@ -127,7 +127,7 @@ impl ClusterQueryReport {
     pub fn indexes_used(&self) -> Vec<(usize, String)> {
         self.per_shard
             .iter()
-            .map(|s| (s.shard, s.stats.index_used.clone()))
+            .map(|s| (s.shard, s.stats.index_used.to_string()))
             .collect()
     }
 

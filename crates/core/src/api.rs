@@ -85,7 +85,7 @@ impl StStore {
                 executor: config.router.executor,
             },
             config.approach.shard_key(),
-            config.approach.index_specs(config.geo_bits),
+            config.approach.index_specs(config.geo_bits, curve),
         );
         let fingerprint = curve.map(|c| c.fingerprint());
         let router = config.router;

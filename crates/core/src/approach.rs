@@ -69,10 +69,13 @@ impl Approach {
         }
     }
 
-    /// User-created index specs. The shard-key index (`date` for the
-    /// baselines, `(hilbertIndex, date)` for the Hilbert methods) is
-    /// auto-created by the cluster, matching MongoDB.
-    pub fn index_specs(self, geo_bits: u32) -> Vec<IndexSpec> {
+    /// User-created index specs. The baselines' shard-key index (`date`)
+    /// is auto-created by the cluster, matching MongoDB. The Hilbert
+    /// methods declare theirs, `(hilbertIndex, date)` under the name the
+    /// cluster would give it, so that it can say its leading field holds
+    /// `curve`'s cell of `location`: the store's writes set
+    /// `hilbertIndex` that way on every document (`StStore::augment`).
+    pub fn index_specs(self, geo_bits: u32, curve: Option<CurveGrid>) -> Vec<IndexSpec> {
         match self {
             Approach::BslST => vec![IndexSpec::new(
                 "location_2dsphere_date_1",
@@ -88,7 +91,17 @@ impl Approach {
                     IndexField::geo_bits(LOCATION_FIELD, geo_bits),
                 ],
             )],
-            Approach::Hil | Approach::HilStar | Approach::StHash => vec![],
+            Approach::Hil | Approach::HilStar => curve
+                .map(|grid| {
+                    IndexSpec::new(
+                        format!("{HILBERT_FIELD}_1_{DATE_FIELD}_1"),
+                        vec![IndexField::asc(HILBERT_FIELD), IndexField::asc(DATE_FIELD)],
+                    )
+                    .with_curve(grid, LOCATION_FIELD)
+                })
+                .into_iter()
+                .collect(),
+            Approach::StHash => vec![],
         }
     }
 
@@ -138,12 +151,22 @@ mod tests {
 
     #[test]
     fn baselines_have_compound_geo_indexes() {
-        let st = Approach::BslST.index_specs(26);
+        let st = Approach::BslST.index_specs(26, None);
         assert_eq!(st.len(), 1);
         assert_eq!(st[0].leading_path(), "location");
-        let ts = Approach::BslTS.index_specs(26);
+        let ts = Approach::BslTS.index_specs(26, None);
         assert_eq!(ts[0].leading_path(), "date");
-        assert!(Approach::Hil.index_specs(26).is_empty());
+        assert!(Approach::Hil.index_specs(26, None).is_empty());
+    }
+
+    #[test]
+    fn hilbert_shard_key_index_names_its_curve() {
+        let grid = CurveGrid::world(13);
+        let specs = Approach::Hil.index_specs(26, Some(grid));
+        assert_eq!(specs.len(), 1);
+        assert_eq!(specs[0].name, "hilbertIndex_1_date_1");
+        let curve = specs[0].curve.as_ref().unwrap();
+        assert_eq!((curve.grid, curve.point_path.as_str()), (grid, "location"));
     }
 
     #[test]

@@ -152,7 +152,7 @@ impl QueryReport {
             t.set_arg(exec, "keysExamined", s.stats.keys_examined);
             t.set_arg(exec, "docsExamined", s.stats.docs_examined);
             t.set_arg(exec, "nReturned", s.stats.n_returned);
-            t.set_arg(exec, "indexUsed", s.stats.index_used.as_str());
+            t.set_arg(exec, "indexUsed", &*s.stats.index_used);
             t.set_arg(exec, "completed", s.stats.completed);
             t.set_arg(exec, "servedByReplica", s.recovery.served_by_replica);
             let mut cursor = shards_start;
@@ -197,7 +197,7 @@ fn shard_explain(s: &ShardExecution) -> Document {
     let b = s.stage_breakdown();
     doc! {
         "shard" => s.shard as i64,
-        "indexUsed" => s.stats.index_used.clone(),
+        "indexUsed" => &*s.stats.index_used,
         // What the shard still checked on each fetched document; every
         // conjunct of the query absent here was proven by the index.
         "residual" => match &s.stats.residual {

@@ -164,6 +164,30 @@ impl CurveGrid {
         Some((lo.0, hi.0, lo.1, hi.1))
     }
 
+    /// The cells of [`cell_span`](Self::cell_span) without its border
+    /// rows and columns, as an inclusive `(x0, x1, y0, y1)`: every point
+    /// whose cell lies in it is inside `rect`, edges included. `None`
+    /// when no cell qualifies, or when `rect` has a non-finite or
+    /// inverted side.
+    ///
+    /// Exact because [`cell_of`](Self::cell_of) is monotone on each
+    /// axis (subtraction, division and multiplication by positive
+    /// constants, floor and clamp all preserve order, rounding
+    /// included): a point west of `rect.min_lon` lands in the span's
+    /// first column or before it, one east of `rect.max_lon` in its last
+    /// column or after it, and likewise for latitude.
+    pub fn interior_span(&self, rect: &GeoRect) -> Option<(u64, u64, u64, u64)> {
+        let sides = [rect.min_lon, rect.min_lat, rect.max_lon, rect.max_lat];
+        if !sides.iter().all(|v| v.is_finite())
+            || rect.min_lon > rect.max_lon
+            || rect.min_lat > rect.max_lat
+        {
+            return None;
+        }
+        let (x0, x1, y0, y1) = self.cell_span(rect)?;
+        (x0 + 1 < x1 && y0 + 1 < y1).then(|| (x0 + 1, x1 - 1, y0 + 1, y1 - 1))
+    }
+
     /// Decompose a query rectangle into sorted, merged, inclusive 1D
     /// index ranges (§4.2.1: "consecutive values of cells are expressed
     /// as ranges, whereas non-consecutive cell values are included as

@@ -24,4 +24,4 @@ pub use bounds::{key_for_values, ScanRange, EXCLUSIVE_TAIL};
 pub use extract::{extract_key_values, geo_point_of};
 pub use index::{Index, ScanScratch, ScanStats};
 pub use manager::IndexManager;
-pub use spec::{FieldKind, IndexField, IndexSpec};
+pub use spec::{CurveCells, FieldKind, IndexField, IndexSpec};

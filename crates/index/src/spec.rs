@@ -1,6 +1,7 @@
 //! Index specifications.
 
 use std::fmt;
+use sts_curve::CurveGrid;
 
 /// How one index field treats its document values.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -62,13 +63,28 @@ impl IndexField {
     }
 }
 
+/// What a curve-valued leading field holds: each document's value is
+/// `grid.index_of` the point at `point_path`, as the writer computed it
+/// when it stored the document (the Hilbert methods' `hilbertIndex`).
+#[derive(Clone, PartialEq, Debug)]
+pub struct CurveCells {
+    /// The grid the value was computed on.
+    pub grid: CurveGrid,
+    /// Dotted path of the GeoJSON point the value was computed from.
+    pub point_path: String,
+}
+
 /// A (possibly compound) index definition.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct IndexSpec {
     /// Index name, unique within a collection.
     pub name: String,
     /// Fields in declaration order (up to 32, like MongoDB).
     pub fields: Vec<IndexField>,
+    /// Set when the leading field holds curve cells of a point field;
+    /// the planner then knows which keys lie in cells wholly inside a
+    /// query rectangle.
+    pub curve: Option<CurveCells>,
 }
 
 impl IndexSpec {
@@ -82,7 +98,20 @@ impl IndexSpec {
         IndexSpec {
             name: name.into(),
             fields,
+            curve: None,
         }
+    }
+
+    /// Declare that the leading field holds `grid`'s cell of the point
+    /// at `point_path` on every document. Only a writer that maintains
+    /// that invariant may declare it: the planner trusts it to skip the
+    /// point-in-rectangle check.
+    pub fn with_curve(mut self, grid: CurveGrid, point_path: impl Into<String>) -> Self {
+        self.curve = Some(CurveCells {
+            grid,
+            point_path: point_path.into(),
+        });
+        self
     }
 
     /// Single ascending field shorthand.

@@ -162,8 +162,8 @@ impl LocalCollection {
         self.store.get_raw(rid)
     }
 
-    /// Fetch a document only if it is visible at `snapshot`.
-    pub fn get_visible(&self, rid: RecordId, snapshot: u64) -> Option<Document> {
+    /// Borrow a document only if it is visible at `snapshot`.
+    pub fn get_visible(&self, rid: RecordId, snapshot: u64) -> Option<&Document> {
         self.store.get_visible(rid, snapshot)
     }
 
@@ -237,13 +237,13 @@ impl LocalCollection {
         filter: &Filter,
         plans: &[QueryPlan],
     ) -> (Vec<Document>, ExecutionStats) {
-        let planning_start = std::time::Instant::now();
-        let plan = &plans[planner.rank(self, filter, plans)];
-        let planning = planning_start.elapsed();
         let mut scratch = self
             .scratch
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let planning_start = std::time::Instant::now();
+        let plan = &plans[planner.rank(self, filter, plans, &mut scratch)];
+        let planning = planning_start.elapsed();
         let mut stats = execute_plan_into(self, filter, plan, None, true, &mut scratch);
         // Draining into the caller's Vec happens outside the measured
         // hot section: handing results upward costs one (amortized)

@@ -6,8 +6,8 @@ use std::time::Duration;
 /// explain output, which is where the paper's metrics (§5.1) come from.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExecutionStats {
-    /// Which index served the query (Table 7).
-    pub index_used: String,
+    /// Which index served the query (Table 7); the plan's own name.
+    pub index_used: std::sync::Arc<str>,
     /// The plan's residual: what was checked on each fetched document.
     /// `None` when the whole filter was (fallback scans, hand-built
     /// plans, abandoned shards). An `Arc` because reports are cloned
@@ -42,9 +42,9 @@ pub struct ExecutionStats {
 
 impl ExecutionStats {
     /// The `IndexScan` stage: execution time not spent on fetch +
-    /// residual filtering. Fetch intervals are disjoint sub-intervals
-    /// of the execution window measured with the same monotonic clock,
-    /// so this never underflows in practice; saturate anyway.
+    /// residual filtering. The fetch phase is the tail of the execution
+    /// window, read off the same monotonic clock, so this never
+    /// underflows in practice; saturate anyway.
     pub fn scan_time(&self) -> Duration {
         self.duration.saturating_sub(self.fetch_time)
     }

@@ -64,6 +64,6 @@ pub use executor::{
 pub use explain::ExecutionStats;
 pub use filter::{CmpOp, Filter};
 pub use options::{FindOptions, SortOrder};
-pub use plan::{IndexAccess, KeyFilter, QueryPlan};
+pub use plan::{IndexAccess, InteriorCells, KeyFilter, QueryPlan};
 pub use planner::Planner;
 pub use shape::QueryShape;

@@ -3,6 +3,7 @@
 use crate::filter::Filter;
 use std::cmp::Ordering;
 use std::sync::Arc;
+use sts_curve::CurveGrid;
 use sts_document::Value;
 use sts_index::ScanRange;
 
@@ -77,11 +78,47 @@ impl KeyFilter {
     }
 }
 
+/// The curve cells wholly inside a query's `$geoWithin` rectangle, for
+/// a plan whose index leads with a curve-cell field (see
+/// [`sts_index::CurveCells`]). A key whose cell lies here belongs to a
+/// document whose point is inside the rectangle, so its fetch is checked
+/// against `residual`, which is the plan's residual minus the rectangle.
+/// Only the planner builds one: the span must come from the rectangle
+/// the residual lost.
+#[derive(Clone, Debug)]
+pub struct InteriorCells {
+    /// The grid the leading key field's cells are on.
+    pub(crate) grid: CurveGrid,
+    /// Inclusive cell span `(x0, x1, y0, y1)`, from
+    /// [`CurveGrid::interior_span`].
+    pub(crate) span: (u64, u64, u64, u64),
+    /// What is left to check on a document whose key is in the span.
+    pub(crate) residual: Arc<Filter>,
+}
+
+impl InteriorCells {
+    /// Whether a decoded key's leading value is a cell of the span.
+    /// Index keys decode every number as a double; the planner builds
+    /// a span only for grids whose cell indexes a double holds exactly.
+    pub(crate) fn contains(&self, values: &[Value]) -> bool {
+        let Some(d) = values.first().and_then(Value::as_f64) else {
+            return false;
+        };
+        if !(0.0..self.grid.total_cells() as f64).contains(&d) || d.fract() != 0.0 {
+            return false;
+        }
+        let (x, y) = self.grid.cell_of_index(d as u64);
+        let (x0, x1, y0, y1) = self.span;
+        (x0..=x1).contains(&x) && (y0..=y1).contains(&y)
+    }
+}
+
 /// A fully-determined access path for one shard-local execution.
 #[derive(Clone, Debug)]
 pub struct QueryPlan {
-    /// Name of the index to traverse.
-    pub index_name: String,
+    /// Name of the index to traverse; shared with the
+    /// [`ExecutionStats`](crate::ExecutionStats) of every run.
+    pub index_name: Arc<str>,
     /// B+tree intervals over the leading field(s).
     pub ranges: Vec<ScanRange>,
     /// Traversal mode.
@@ -96,6 +133,10 @@ pub struct QueryPlan {
     /// with the [`ExecutionStats`](crate::ExecutionStats) of every run
     /// of the plan, hence the `Arc`.
     pub residual: Option<Arc<Filter>>,
+    /// The keys whose documents skip the `$geoWithin` rectangle of
+    /// `residual`; `None` when the index holds no curve cells or the
+    /// rectangle has no interior cells.
+    pub interior: Option<InteriorCells>,
     /// True when this plan is an unbounded fallback scan (no usable
     /// index constraint — MongoDB's COLLSCAN equivalent through `_id`).
     pub is_fallback: bool,
@@ -164,6 +205,7 @@ mod tests {
             access: IndexAccess::Sequential,
             key_filters: vec![],
             residual: None,
+            interior: None,
             is_fallback: false,
         };
         assert!(p.describe().contains("seq"));

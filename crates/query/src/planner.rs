@@ -1,9 +1,9 @@
 //! Candidate plan generation and MongoDB-style trial ranking.
 
 use crate::collection::LocalCollection;
-use crate::executor::{execute_plan, ExecBudget};
+use crate::executor::{execute_plan_into, ExecBudget, QueryScratch};
 use crate::filter::Filter;
-use crate::plan::{IndexAccess, KeyFilter, QueryPlan};
+use crate::plan::{IndexAccess, InteriorCells, KeyFilter, QueryPlan};
 use crate::shape::QueryShape;
 use std::sync::Arc;
 use sts_document::Value;
@@ -71,13 +71,14 @@ impl Planner {
         let name = indexes
             .get("_id")
             .or_else(|| indexes.iter().next())
-            .map_or_else(|| "_id".to_string(), |i| i.spec().name.clone());
+            .map_or_else(|| "_id".into(), |i| i.spec().name.as_str().into());
         QueryPlan {
             index_name: name,
             ranges: vec![ScanRange::whole()],
             access: IndexAccess::Sequential,
             key_filters: vec![],
             residual: None,
+            interior: None,
             is_fallback: true,
         }
     }
@@ -86,7 +87,8 @@ impl Planner {
     /// drops exactly what its bounds prove: the `$or`/`$in` that became
     /// B+tree intervals on the leading path, and the inclusive range
     /// held by the leading bounds, a skip-scan or an interval key
-    /// filter. GeoHash cells only ever narrow the scan.
+    /// filter. GeoHash cells only ever narrow the scan; curve cells
+    /// wholly inside a `$geoWithin` rectangle prove it for their keys.
     fn plan_for_index(&self, spec: &IndexSpec, shape: &QueryShape) -> Option<QueryPlan> {
         let lead = &spec.fields[0];
         match lead.kind {
@@ -104,11 +106,12 @@ impl Planner {
                 // `IndexAccess::Sequential` docs).
                 let (key_filters, range_proven) = self.trailing_filters(spec, shape);
                 Some(QueryPlan {
-                    index_name: spec.name.clone(),
+                    index_name: spec.name.as_str().into(),
                     ranges,
                     access: IndexAccess::Sequential,
                     key_filters,
-                    residual: Some(Arc::new(shape.residual(false, range_proven))),
+                    residual: Some(Arc::new(shape.residual(false, range_proven, false))),
+                    interior: None,
                     is_fallback: false,
                 })
             }
@@ -133,12 +136,26 @@ impl Planner {
                             } else {
                                 self.trailing_filters(spec, shape)
                             };
+                        // Keys decode numbers as doubles: up to order 26
+                        // every cell index survives the round trip.
+                        let interior = spec.curve.as_ref().and_then(|curve| {
+                            let rect = shape.rect_on(&curve.point_path)?;
+                            if curve.grid.order() > 26 {
+                                return None;
+                            }
+                            Some(InteriorCells {
+                                grid: curve.grid,
+                                span: curve.grid.interior_span(rect)?,
+                                residual: Arc::new(shape.residual(true, range_proven, true)),
+                            })
+                        });
                         return Some(QueryPlan {
-                            index_name: spec.name.clone(),
+                            index_name: spec.name.as_str().into(),
                             ranges,
                             access,
                             key_filters,
-                            residual: Some(Arc::new(shape.residual(true, range_proven))),
+                            residual: Some(Arc::new(shape.residual(true, range_proven, false))),
+                            interior,
                             is_fallback: false,
                         });
                     }
@@ -154,11 +171,12 @@ impl Planner {
                 )];
                 let (key_filters, _) = self.trailing_filters(spec, shape);
                 Some(QueryPlan {
-                    index_name: spec.name.clone(),
+                    index_name: spec.name.as_str().into(),
                     ranges,
                     access: IndexAccess::Sequential,
                     key_filters,
-                    residual: Some(Arc::new(shape.residual(false, true))),
+                    residual: Some(Arc::new(shape.residual(false, true, false))),
+                    interior: None,
                     is_fallback: false,
                 })
             }
@@ -225,18 +243,20 @@ impl Planner {
     /// Choose a plan by trial execution (multi-planner).
     pub fn choose(&self, coll: &LocalCollection, filter: &Filter) -> QueryPlan {
         let mut plans = self.candidates(coll, filter);
-        plans.swap_remove(self.rank(coll, filter, &plans))
+        plans.swap_remove(self.rank(coll, filter, &plans, &mut QueryScratch::new()))
     }
 
     /// The trial ranker: the position in `plans` of the most productive
     /// candidate on this shard's data. A lone candidate wins untried;
     /// several each run for `trial_works` (ties go to fewer works, then
-    /// to the earlier candidate).
+    /// to the earlier candidate) in `scratch`, the buffers the winner
+    /// then runs in.
     pub(crate) fn rank(
         &self,
         coll: &LocalCollection,
         filter: &Filter,
         plans: &[QueryPlan],
+        scratch: &mut QueryScratch,
     ) -> usize {
         if plans.len() == 1 {
             return 0;
@@ -246,7 +266,7 @@ impl Planner {
         });
         let mut best: Option<(f64, u64, usize)> = None;
         for (i, plan) in plans.iter().enumerate() {
-            let (_, stats) = execute_plan(coll, filter, plan, budget, false);
+            let stats = execute_plan_into(coll, filter, plan, budget, false, scratch);
             let score = stats.productivity();
             let works = stats.works();
             let better = match best {

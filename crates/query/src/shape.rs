@@ -71,6 +71,9 @@ pub struct QueryShape<'f> {
     /// bridged two neighbouring integers (a fractional double between
     /// them is inside the merged interval, outside the filter's).
     int_conjunct: Option<usize>,
+    /// Position of the `$geoWithin` rectangle conjunct `geo` came from;
+    /// `None` when `geo` is a polygon's bounding box.
+    geo_conjunct: Option<usize>,
 }
 
 /// The leaves of a filter's top-level `$and` tree, in order.
@@ -96,6 +99,7 @@ impl<'f> QueryShape<'f> {
             int_intervals: None,
             fully_captured: true,
             int_conjunct: None,
+            geo_conjunct: None,
         };
         for (at, conjunct) in conjuncts(filter).into_iter().enumerate() {
             shape.absorb(at, conjunct);
@@ -136,9 +140,12 @@ impl<'f> QueryShape<'f> {
     /// value share one type bracket other than null — only then does
     /// "inside the window" imply the comparison under MongoDB's type
     /// bracketing, and only then is a missing field (indexed as null)
-    /// outside it. Strict comparisons (bounds are widened), geometry
-    /// (coverings are supersets) and everything unabsorbed stay.
-    pub fn residual(&self, intervals_proven: bool, range_proven: bool) -> Filter {
+    /// outside it. `geo_proven`: the key's curve cell lies wholly inside
+    /// the `$geoWithin` rectangle (see [`rect_on`](Self::rect_on)), so
+    /// that rectangle's conjunct is dropped. Strict comparisons (bounds
+    /// are widened), other geometry (coverings are supersets; a polygon
+    /// is never proven) and everything unabsorbed stay.
+    pub fn residual(&self, intervals_proven: bool, range_proven: bool, geo_proven: bool) -> Filter {
         let window = self
             .range
             .as_ref()
@@ -159,6 +166,7 @@ impl<'f> QueryShape<'f> {
                 Filter::Or(_) | Filter::In { .. } => {
                     !(intervals_proven && self.int_conjunct == Some(at))
                 }
+                Filter::GeoWithin { .. } => !(geo_proven && self.geo_conjunct == Some(at)),
                 _ => true,
             })
             .map(|(_, conjunct)| conjunct.clone())
@@ -167,6 +175,15 @@ impl<'f> QueryShape<'f> {
             kept.remove(0)
         } else {
             Filter::And(kept)
+        }
+    }
+
+    /// The `$geoWithin` rectangle on `path`, when a rectangle conjunct
+    /// (not a polygon's bounding box) set `geo`.
+    pub fn rect_on(&self, path: &str) -> Option<&GeoRect> {
+        match (&self.geo, self.geo_conjunct) {
+            (Some((p, rect)), Some(_)) if p == path => Some(rect),
+            _ => None,
         }
     }
 
@@ -185,6 +202,7 @@ impl<'f> QueryShape<'f> {
             Filter::GeoWithin { path, rect } => {
                 if self.geo.is_none() {
                     self.geo = Some((path.clone(), *rect));
+                    self.geo_conjunct = Some(at);
                 } else {
                     self.fully_captured = false;
                 }

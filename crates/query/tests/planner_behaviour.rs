@@ -56,7 +56,7 @@ fn candidates_follow_leading_field_rule() {
     // _id does not (§3.1: no predicate on the leading field).
     let f = st_filter(GeoRect::new(21.0, 36.0, 23.0, 38.0), 0, 5_000_000);
     let plans = planner.candidates(&c, &f);
-    let names: Vec<&str> = plans.iter().map(|p| p.index_name.as_str()).collect();
+    let names: Vec<&str> = plans.iter().map(|p| &*p.index_name).collect();
     assert!(names.contains(&"location_2dsphere_date_1"), "{names:?}");
     assert!(names.contains(&"date"), "{names:?}");
     assert!(!names.contains(&"_id"), "{names:?}");
@@ -69,7 +69,7 @@ fn candidates_follow_leading_field_rule() {
     let names: Vec<String> = planner
         .candidates(&c, &f)
         .into_iter()
-        .map(|p| p.index_name)
+        .map(|p| p.index_name.to_string())
         .collect();
     assert_eq!(names, vec!["date"]);
 }
@@ -83,7 +83,7 @@ fn geo_leading_plans_are_sequential_with_date_key_filter() {
     let plans = Planner::default().candidates(&c, &f);
     let geo_plan = plans
         .iter()
-        .find(|p| p.index_name == "location_2dsphere_date_1")
+        .find(|p| &*p.index_name == "location_2dsphere_date_1")
         .unwrap();
     assert!(matches!(geo_plan.access, IndexAccess::Sequential));
     assert_eq!(geo_plan.key_filters.len(), 1, "date as index-level filter");
@@ -118,7 +118,7 @@ fn hilbert_compound_gets_skip_scan() {
     let plans = Planner::default().candidates(&c, &f);
     let hil = plans
         .iter()
-        .find(|p| p.index_name == "hilbertIndex_1_date_1")
+        .find(|p| &*p.index_name == "hilbertIndex_1_date_1")
         .unwrap();
     assert!(
         matches!(hil.access, IndexAccess::SkipScan { .. }),
@@ -134,7 +134,7 @@ fn trial_ranking_prefers_selective_plan_for_small_queries() {
     // the date index would fetch everything in the window.
     let f = st_filter(GeoRect::new(21.0, 36.0, 21.1, 36.1), 0, 50_000_000);
     let plan = Planner::default().choose(&c, &f);
-    assert_eq!(plan.index_name, "location_2dsphere_date_1");
+    assert_eq!(&*plan.index_name, "location_2dsphere_date_1");
 }
 
 #[test]
@@ -145,7 +145,7 @@ fn trial_ranking_can_prefer_date_index_for_big_queries() {
     // covering — the Table 7 "○" cases.
     let f = st_filter(GeoRect::new(19.0, 34.0, 29.0, 42.0), 0, 500_000);
     let plan = Planner::default().choose(&c, &f);
-    assert_eq!(plan.index_name, "date");
+    assert_eq!(&*plan.index_name, "date");
 }
 
 #[test]
@@ -154,7 +154,7 @@ fn unusable_everything_falls_back() {
     let f = Filter::gte("speedKmh", 10.0);
     let plan = Planner::default().choose(&c, &f);
     assert!(plan.is_fallback);
-    assert_eq!(plan.index_name, "_id");
+    assert_eq!(&*plan.index_name, "_id");
 }
 
 #[test]
@@ -270,7 +270,7 @@ fn residual_on(c: &LocalCollection, index: &str, f: &Filter) -> Filter {
     Planner::default()
         .candidates(c, f)
         .into_iter()
-        .find(|p| p.index_name == index)
+        .find(|p| &*p.index_name == index)
         .unwrap_or_else(|| panic!("no plan on {index}"))
         .residual
         .as_deref()

@@ -84,12 +84,13 @@ impl CollectionStore {
     /// Fetch a document only if its insert epoch is within `snapshot`
     /// (i.e. `epoch <= snapshot`). Staged records read as absent — the
     /// same answer a tombstone gives — so a scan that raced a batch
-    /// simply never sees the uncommitted documents.
-    pub fn get_visible(&self, id: RecordId, snapshot: u64) -> Option<Document> {
+    /// simply never sees the uncommitted documents. Borrowed: a reader
+    /// clones only what it keeps.
+    pub fn get_visible(&self, id: RecordId, snapshot: u64) -> Option<&Document> {
         if *self.epochs.get(id as usize)? > snapshot {
             return None;
         }
-        self.docs.get(id as usize)?.clone()
+        self.docs.get(id as usize)?.as_ref()
     }
 
     /// The insert epoch a live record was stamped with.

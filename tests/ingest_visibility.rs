@@ -125,7 +125,7 @@ fn decoded_cache_stays_coherent_across_commit() {
     for _ in 0..3 {
         // Repeated (cached) reads: stable answers while staged.
         assert_eq!(coll.get(rid0).as_ref(), Some(&d0));
-        assert_eq!(coll.get_visible(rid0, snap).as_ref(), Some(&d0));
+        assert_eq!(coll.get_visible(rid0, snap), Some(&d0));
         assert_eq!(
             coll.get(rid1).as_ref(),
             Some(&d1),
@@ -144,7 +144,7 @@ fn decoded_cache_stays_coherent_across_commit() {
     let snap = coll.snapshot();
     for _ in 0..3 {
         assert_eq!(
-            coll.get_visible(rid1, snap).as_ref(),
+            coll.get_visible(rid1, snap),
             Some(&d1),
             "the same cached record flips visible after commit"
         );
@@ -152,7 +152,7 @@ fn decoded_cache_stays_coherent_across_commit() {
     // A reader pinned to the old snapshot still excludes the batch —
     // the visibility decision is per-read, not baked into the cache.
     assert_eq!(coll.get_visible(rid1, snap - 1), None);
-    assert_eq!(coll.get_visible(rid0, snap - 1).as_ref(), Some(&d0));
+    assert_eq!(coll.get_visible(rid0, snap - 1), Some(&d0));
 }
 
 /// Two batches staged back-to-back without an intervening commit form

@@ -1,7 +1,7 @@
-//! Metric parity: a fixed sequence of queries and ingest batches leaves
-//! exactly these counters and histogram sample counts in a store's
-//! private registry. The tables were recorded with every query-path
-//! metric still looked up by name on each call, so a metric handle
+//! Metric parity: a fixed sequence of queries, ingest batches, splits
+//! and migrations leaves exactly these counters and histogram sample
+//! counts in a store's private registry. The tables were recorded with
+//! every metric still looked up by name on each call, so a metric handle
 //! resolved on the wrong registry, or left on the old one after
 //! `set_metrics_registry`, shows up here as a moved or missing value.
 //!
@@ -9,7 +9,7 @@
 //! the executor counters deterministic.
 
 use std::sync::Arc;
-use sts::cluster::ExecutorConfig;
+use sts::cluster::{ExecutorConfig, FailPoint, FailPointMode};
 use sts::core::{Approach, RouterConfig, StQuery, StStore, StoreConfig};
 use sts::document::{DateTime, Document};
 use sts::obs::{Registry, RegistrySnapshot};
@@ -115,6 +115,50 @@ fn bsl_ts_with_the_result_cache_records_the_same_metrics_after_a_late_rescope() 
     assert_eq!(observed(&snap), want);
 }
 
+/// The write path on its own: a bulk load, an ingest batch the live
+/// balancer reacts to, a staged document committed through the facade,
+/// an explicit split, and three explicit migrations — one retried after
+/// a transient fault, one aborted by a node failure, one clean.
+#[test]
+fn hil_star_writes_splits_and_migrations_record_the_same_metrics() {
+    let docs = corpus();
+    let (load, batch) = docs.split_at(2_000);
+    let mut store = store(Approach::HilStar, RouterConfig::default());
+    let obs = Arc::new(Registry::new());
+    store.set_metrics_registry(obs.clone());
+    store.bulk_load(load.iter().cloned()).unwrap();
+    let (batch, last) = batch.split_at(batch.len() - 1);
+    store.insert_batch(batch.iter().cloned()).unwrap();
+    store.stage(last[0].clone()).unwrap();
+    store.commit_batch();
+
+    let fullest = |store: &StStore| {
+        let chunks = store.cluster().chunk_map().chunks();
+        (0..chunks.len()).max_by_key(|&i| chunks[i].docs).unwrap()
+    };
+    store.split_chunk(fullest(&store));
+    let cidx = fullest(&store);
+    let src = store.cluster().chunk_map().chunks()[cidx].shard;
+    let dst = (src + 1) % 4;
+    store.arm_failpoint(
+        "once",
+        FailPoint::transient(src).with_mode(FailPointMode::Times(1)),
+    );
+    assert!(
+        store.migrate_chunk(cidx, dst),
+        "one transient fault is retried"
+    );
+    store.disarm_all_failpoints();
+    store.arm_failpoint("down", FailPoint::hard_failure(dst));
+    assert!(!store.migrate_chunk(cidx, src), "a dead donor aborts");
+    store.disarm_all_failpoints();
+    assert!(store.migrate_chunk(cidx, src));
+
+    let snap = obs.snapshot();
+    let want = (WRITE_COUNTERS.to_vec(), WRITE_HISTOGRAMS.to_vec());
+    assert_eq!(observed(&snap), want);
+}
+
 // Recorded with by-name lookups on every call.
 const HIL_STAR_COUNTERS: &[(&str, u64)] = &[
     ("balancer.migrations", 95),
@@ -175,3 +219,12 @@ const BSL_TS_HISTOGRAMS: &[(&str, u64)] = &[
     ("shard.index_scan", 30),
     ("shard.planning", 30),
 ];
+const WRITE_COUNTERS: &[(&str, u64)] = &[
+    ("balancer.migration_retries", 1),
+    ("balancer.migrations", 97),
+    ("balancer.migrations_aborted", 1),
+    ("balancer.splits", 198),
+    ("ingest.batches", 2),
+    ("ingest.docs", 400),
+];
+const WRITE_HISTOGRAMS: &[(&str, u64)] = &[("balancer.migrations", 97)];
