@@ -6,7 +6,7 @@
 //! back three ways:
 //!
 //! * [`ObsReport::dashboard`] — a human-readable cluster-health table
-//!   (per-shard load skew, hottest chunks, balancer history),
+//!   (per-shard load skew, balancer history),
 //! * [`ObsReport::to_json`] — the same data machine-readable,
 //! * [`ObsReport::slowest`] — the slowest profiled query, whose
 //!   [`ProfileEntry::trace`] exports as Chrome trace-event JSON.
@@ -183,23 +183,6 @@ impl ObsReport {
             );
         }
         for a in &self.approaches {
-            let hot: Vec<String> = a
-                .health
-                .hottest_chunks(5)
-                .iter()
-                .filter(|c| c.queries_routed > 0)
-                .map(|c| format!("s{}×{}", c.shard, c.queries_routed))
-                .collect();
-            if !hot.is_empty() {
-                let _ = writeln!(
-                    out,
-                    "hottest chunks — {:<6} {}",
-                    a.approach.name(),
-                    hot.join("  ")
-                );
-            }
-        }
-        for a in &self.approaches {
             let allocs = a.metrics.counter("shard.exec_allocs").unwrap_or(0);
             if let Some(h) = a.metrics.histogram("query.covering_ranges") {
                 let (p50, p95, _, _, max) = h.value_percentiles();
@@ -258,19 +241,6 @@ impl ObsReport {
                         ])
                     })
                     .collect();
-                let hottest: Vec<Json> = a
-                    .health
-                    .hottest_chunks(5)
-                    .iter()
-                    .map(|c| {
-                        Json::Obj(vec![
-                            ("shard".into(), Json::UInt(c.shard as u64)),
-                            ("queriesRouted".into(), Json::UInt(c.queries_routed)),
-                            ("docs".into(), Json::UInt(c.docs)),
-                            ("jumbo".into(), Json::Bool(c.jumbo)),
-                        ])
-                    })
-                    .collect();
                 let slowest = a
                     .profiled
                     .iter()
@@ -293,7 +263,6 @@ impl ObsReport {
                         ]),
                     ),
                     ("shards".into(), Json::Arr(shards)),
-                    ("hottestChunks".into(), Json::Arr(hottest)),
                     (
                         "balancerEvents".into(),
                         Json::UInt(a.health.events.len() as u64),

@@ -3,7 +3,7 @@
 use crate::chunk::ChunkMap;
 use crate::executor::{ExecutorConfig, ExecutorStats, ShardExecutor};
 use crate::faults::{AttemptCtx, FailPoint, FaultInjector, FaultKind};
-use crate::health::{skew, BalancerEventKind, ClusterHealth, HealthSnapshot};
+use crate::health::{BalancerEventKind, ClusterHealth, HealthSnapshot};
 use crate::report::{ClusterQueryReport, ShardExecution};
 use crate::retry::{run_with_recovery, RecoveryPolicy};
 use crate::shard::Shard;
@@ -34,8 +34,6 @@ pub struct ClusterConfig {
     pub recovery: RecoveryPolicy,
     /// Seed for the failpoint registry's deterministic draws.
     pub fault_seed: u64,
-    /// Live-balancer policy applied at every batch commit.
-    pub balancer: LiveBalancerConfig,
     /// Shard-executor tunables (threads per fan-out).
     pub executor: ExecutorConfig,
 }
@@ -48,16 +46,14 @@ impl Default for ClusterConfig {
             planner: Planner::default(),
             recovery: RecoveryPolicy::default(),
             fault_seed: 0x5EED_FA17,
-            balancer: LiveBalancerConfig::default(),
             executor: ExecutorConfig::default(),
         }
     }
 }
 
 /// A routing decision a plan cache can hold and replay: the target
-/// shards, the broadcast flag, the routing-table chunk indices the
-/// decision touched, and the routing generation it was computed
-/// against. A plan whose `generation` no longer matches
+/// shards, the broadcast flag, and the routing generation it was
+/// computed against. A plan whose `generation` no longer matches
 /// [`Cluster::routing_generation`] is stale — the chunk map changed
 /// under it (split, migration, zone application) — and must be
 /// recomputed.
@@ -67,8 +63,6 @@ pub struct RoutePlan {
     pub targets: Vec<usize>,
     /// Whether that is a broadcast (no shard-key constraint).
     pub broadcast: bool,
-    /// Chunk indices the routing decision touched (heat accounting).
-    pub touched: Vec<usize>,
     /// The routing generation this plan is valid for.
     pub generation: u64,
 }
@@ -83,40 +77,6 @@ pub struct QueryExecOptions<'a> {
     pub route: Option<&'a RoutePlan>,
     /// Recovery-policy override for this query alone.
     pub recovery: Option<RecoveryPolicy>,
-}
-
-/// Policy for the live balancer that runs at batch-commit time,
-/// turning the health ledger's chunk-heat and document-skew signals
-/// into splits and migrations while ingest is in flight.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct LiveBalancerConfig {
-    /// Master switch. Off reduces [`Cluster::commit_batch`] to the
-    /// epoch publish alone.
-    pub enabled: bool,
-    /// Split the hottest chunk when it absorbed more than this share of
-    /// all chunk-routing decisions (query heat, PR-3 ledger).
-    pub heat_split_ratio: f64,
-    /// Minimum routed-query observations before heat splitting engages
-    /// (avoids reacting to the first few queries).
-    pub heat_min_queries: u64,
-    /// Migrate from the document-heaviest shard while the per-shard
-    /// document Gini coefficient exceeds this.
-    pub docs_gini_threshold: f64,
-    /// Upper bound on skew-driven migrations per commit — the balancer
-    /// does bounded work per batch so ingest latency stays predictable.
-    pub max_moves_per_round: usize,
-}
-
-impl Default for LiveBalancerConfig {
-    fn default() -> Self {
-        LiveBalancerConfig {
-            enabled: true,
-            heat_split_ratio: 0.5,
-            heat_min_queries: 16,
-            docs_gini_threshold: 0.4,
-            max_moves_per_round: 2,
-        }
-    }
 }
 
 /// A sharded collection: the whole deployment the paper evaluates.
@@ -273,11 +233,10 @@ impl Cluster {
         &self.obs
     }
 
-    /// Point-in-time cluster-health telemetry: per-shard and per-chunk
-    /// load counters plus the balancer event history, aggregated
-    /// against the current routing table.
+    /// Point-in-time cluster-health telemetry: per-shard load counters
+    /// plus the balancer event history.
     pub fn health_snapshot(&self) -> HealthSnapshot {
-        self.health.snapshot(&self.chunks, &self.docs_per_shard())
+        self.health.snapshot(&self.docs_per_shard())
     }
 
     /// Balancer events with `seq >= from`, in order — the incremental
@@ -415,14 +374,26 @@ impl Cluster {
 
     /// Publish the in-flight batch: one atomic store on the shared
     /// epoch counter flips every staged record — on every shard —
-    /// visible at once, then the live balancer reacts to the new state.
-    /// A scan overlapping the commit observes the batch entirely or
-    /// not at all, never a torn prefix.
+    /// visible at once. A scan overlapping the commit observes the
+    /// batch entirely or not at all, never a torn prefix.
+    ///
+    /// Then the live balancer runs MongoDB's two rules: the size split
+    /// the synchronous insert path applies, swept across the whole map
+    /// because staging defers it to the commit point, and the
+    /// chunk-count round of [`Cluster::balance`].
     pub fn commit_batch(&mut self) {
         let next = self.snapshot_epoch() + 1;
         self.epoch.store(next, Ordering::Release);
         self.write_metrics.batches.inc();
-        self.maybe_rebalance();
+        while let Some(cidx) = self
+            .chunks
+            .chunks()
+            .iter()
+            .position(|c| c.bytes > self.config.max_chunk_bytes && !c.jumbo)
+        {
+            self.try_split(cidx);
+        }
+        self.balance();
     }
 
     /// Batched concurrent ingest: stage every document, then commit.
@@ -449,81 +420,6 @@ impl Cluster {
         let n = staged.len() as u64;
         self.commit_batch();
         Ok(n)
-    }
-
-    /// The live balancer, run at every batch commit: size splits for
-    /// overflowing chunks, a heat split when the health ledger shows
-    /// one chunk absorbing most of the query routing, then bounded
-    /// skew-driven migrations (chunk-count spread + document Gini).
-    fn maybe_rebalance(&mut self) {
-        if !self.config.balancer.enabled {
-            return;
-        }
-        // 1. Size splits — same overflow rule the synchronous insert
-        // path applies, swept across the whole map because staging
-        // defers them to the commit point.
-        while let Some(cidx) = self
-            .chunks
-            .chunks()
-            .iter()
-            .position(|c| c.bytes > self.config.max_chunk_bytes && !c.jumbo)
-        {
-            self.try_split(cidx);
-        }
-        // 2. Heat split: one chunk soaking up more than the configured
-        // share of routing decisions gets split so its halves can then
-        // migrate apart.
-        let policy = self.config.balancer;
-        let snap = self.health_snapshot();
-        let total_heat: u64 = snap.chunks.iter().map(|c| c.queries_routed).sum();
-        if total_heat >= policy.heat_min_queries {
-            if let Some(hot) = snap.hottest_chunks(1).first() {
-                let share = hot.queries_routed as f64 / total_heat as f64;
-                if share > policy.heat_split_ratio && !hot.jumbo {
-                    if let Some(cidx) = self.chunks.chunks().iter().position(|c| c.min == hot.min) {
-                        self.try_split(cidx);
-                    }
-                }
-            }
-        }
-        // 3. Chunk-count spread, as the background balancer round.
-        self.balance();
-        // 4. Document-skew migrations: while the per-shard document
-        // Gini stays above threshold, move chunks off the heaviest
-        // shard — bounded per round so a commit does bounded work.
-        let mut moves = 0usize;
-        while moves < policy.max_moves_per_round {
-            let docs: Vec<u64> = self.docs_per_shard().iter().map(|&d| d as u64).collect();
-            if skew(&docs).gini < policy.docs_gini_threshold {
-                break;
-            }
-            let donor = (0..docs.len()).max_by_key(|&i| docs[i]).unwrap();
-            let recipient = (0..docs.len()).min_by_key(|&i| docs[i]).unwrap();
-            if donor == recipient {
-                break;
-            }
-            let donor_chunks: Vec<usize> = (0..self.chunks.len())
-                .filter(|&i| self.chunks.chunks()[i].shard == donor)
-                .collect();
-            let idx = match donor_chunks.len() {
-                0 => break,
-                1 => {
-                    // A one-chunk donor must split before it can shed
-                    // load; a jumbo chunk cannot, so give up.
-                    let only = donor_chunks[0];
-                    self.try_split(only);
-                    if self.chunks.chunks()[only].jumbo {
-                        break;
-                    }
-                    only + 1
-                }
-                _ => *donor_chunks.last().unwrap(),
-            };
-            if !self.migrate(idx, recipient) {
-                break;
-            }
-            moves += 1;
-        }
     }
 
     /// Split chunk `cidx` at its median shard key (public hook for
@@ -799,28 +695,23 @@ impl Cluster {
 
     /// Which shards a query must visit, and whether that's a broadcast.
     pub fn target_shards(&self, filter: &Filter) -> (Vec<usize>, bool) {
-        let (shards, broadcast, _) = self.route(&QueryShape::analyze(filter));
-        (shards, broadcast)
+        self.route(&QueryShape::analyze(filter))
     }
 
-    /// Full routing decision: target shards, broadcast flag, and the
-    /// routing-table chunk indices the decision touched (all chunks on
-    /// a broadcast — the router consults the whole table).
-    fn route(&self, shape: &QueryShape) -> (Vec<usize>, bool, Vec<usize>) {
+    /// Full routing decision: target shards and the broadcast flag.
+    fn route(&self, shape: &QueryShape) -> (Vec<usize>, bool) {
         let lead = &self.shard_key.fields[0];
         let chunks = self.chunks.chunks();
         let mut hit = vec![false; self.config.num_shards];
-        let mut touched: Vec<usize> = Vec::new();
+        // One past the last chunk visited: ranges arrive in ascending
+        // order and may share their edge chunk with the previous one.
+        let mut next = 0;
         let mut visit = |range: std::ops::Range<usize>| {
-            // Ranges arrive in ascending order and may share their edge
-            // chunk with the previous one.
-            let first = touched
-                .last()
-                .map_or(range.start, |&l| range.start.max(l + 1));
-            for idx in first..range.end {
-                hit[chunks[idx].shard] = true;
-                touched.push(idx);
+            let first = range.start.max(next).min(range.end);
+            for chunk in &chunks[first..range.end] {
+                hit[chunk.shard] = true;
             }
+            next = next.max(range.end);
         };
         match (self.shard_key.strategy, &shape.int_intervals) {
             // Ranges cannot target hashed keys.
@@ -858,16 +749,12 @@ impl Cluster {
             },
         }
         let targets = (0..hit.len()).filter(|&s| hit[s]).collect();
-        (targets, false, touched)
+        (targets, false)
     }
 
-    /// Every shard, and every chunk of the routing table.
-    fn broadcast_route(&self) -> (Vec<usize>, bool, Vec<usize>) {
-        (
-            (0..self.config.num_shards).collect(),
-            true,
-            (0..self.chunks.chunks().len()).collect(),
-        )
+    /// Every shard.
+    fn broadcast_route(&self) -> (Vec<usize>, bool) {
+        ((0..self.config.num_shards).collect(), true)
     }
 
     /// Compute (and stamp) a reusable routing decision for `filter` —
@@ -877,11 +764,10 @@ impl Cluster {
         // mid-computation the plan self-invalidates rather than
         // claiming a freshness it doesn't have.
         let generation = self.routing_generation();
-        let (targets, broadcast, touched) = self.route(&QueryShape::analyze(filter));
+        let (targets, broadcast) = self.route(&QueryShape::analyze(filter));
         RoutePlan {
             targets,
             broadcast,
-            touched,
             generation,
         }
     }
@@ -907,10 +793,10 @@ impl Cluster {
             .route
             .filter(|p| p.generation == self.routing_generation());
         let computed;
-        let (targets, broadcast, touched_chunks): (&[usize], bool, &[usize]) = match cached_route {
+        let (targets, broadcast): (&[usize], bool) = match cached_route {
             Some(p) => {
                 self.metrics.route_reused.inc();
-                (&p.targets, p.broadcast, &p.touched)
+                (&p.targets, p.broadcast)
             }
             None => {
                 if opts.route.is_some() {
@@ -918,7 +804,7 @@ impl Cluster {
                     self.metrics.route_stale.inc();
                 }
                 computed = self.route(&shape);
-                (&computed.0, computed.1, &computed.2)
+                (&computed.0, computed.1)
             }
         };
         let routing = start.elapsed();
@@ -966,11 +852,6 @@ impl Cluster {
             dispatch,
         };
         self.health.record_query(&report);
-        self.health.record_chunk_access(
-            touched_chunks
-                .iter()
-                .map(|&idx| self.chunks.chunks()[idx].min.as_slice()),
-        );
         self.metrics.record_scatter(&report);
         (payloads, report)
     }

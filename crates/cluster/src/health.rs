@@ -1,23 +1,20 @@
-//! Cluster-health telemetry: per-shard / per-chunk load counters,
-//! skew metrics and balancer event history.
+//! Cluster-health telemetry: per-shard load counters, skew metrics and
+//! balancer event history.
 //!
 //! The paper's Hilbert-sharding claim is a *locality* claim: a
 //! spatio-temporal workload should spread across shards instead of
 //! hammering whichever shard owns the hot time window (§4.2, and the
 //! load-balance concern the related GeoHash/HOC-Tree systems
 //! optimize). This module gives that claim numbers: every routed
-//! query bumps per-shard and per-chunk access counters, the balancer
-//! logs every split/migration/jumbo event, and a [`HealthSnapshot`]
+//! query bumps its target shards' access counters, the balancer logs
+//! every split/migration/jumbo event, and a [`HealthSnapshot`]
 //! aggregates the counters into max/mean shard load and a Gini-style
 //! imbalance coefficient.
 //!
-//! Recording is `&self` (atomics + a short-lived mutex for the chunk
-//! heat map) so the router's read path can report without exclusive
-//! access to the cluster.
+//! A query records with relaxed atomic adds on `&self`: no lock, and
+//! no exclusive access to the cluster.
 
-use crate::chunk::ChunkMap;
 use crate::report::ClusterQueryReport;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -82,10 +79,6 @@ impl BalancerEventKind {
 /// Interior-mutable health ledger owned by the cluster.
 pub(crate) struct ClusterHealth {
     shards: Vec<ShardLoad>,
-    /// Chunk access counts keyed by chunk *min* — the stable identity
-    /// of a chunk across splits (a split keeps the left half's min)
-    /// and migrations (which do not change bounds).
-    chunk_heat: Mutex<BTreeMap<Vec<u8>, u64>>,
     events: Mutex<Vec<BalancerEvent>>,
 }
 
@@ -93,7 +86,6 @@ impl ClusterHealth {
     pub(crate) fn new(num_shards: usize) -> Self {
         ClusterHealth {
             shards: (0..num_shards).map(|_| ShardLoad::default()).collect(),
-            chunk_heat: Mutex::new(BTreeMap::new()),
             events: Mutex::new(Vec::new()),
         }
     }
@@ -111,18 +103,6 @@ impl ClusterHealth {
                 .fetch_add(s.stats.docs_examined, Ordering::Relaxed);
             load.returned
                 .fetch_add(s.stats.n_returned, Ordering::Relaxed);
-        }
-    }
-
-    /// Bump the heat counter of every chunk a query's routing touched.
-    pub(crate) fn record_chunk_access<'a>(&self, mins: impl IntoIterator<Item = &'a [u8]>) {
-        let mut heat = self.chunk_heat.lock().unwrap();
-        for min in mins {
-            // Allocate the key only the first time a chunk is seen.
-            match heat.get_mut(min) {
-                Some(count) => *count += 1,
-                None => drop(heat.insert(min.to_vec(), 1)),
-            }
         }
     }
 
@@ -150,9 +130,8 @@ impl ClusterHealth {
         events[start..].to_vec()
     }
 
-    /// Point-in-time aggregation against the current routing table.
-    pub(crate) fn snapshot(&self, chunks: &ChunkMap, docs_per_shard: &[usize]) -> HealthSnapshot {
-        let heat = self.chunk_heat.lock().unwrap();
+    /// Point-in-time aggregation, beside each shard's stored documents.
+    pub(crate) fn snapshot(&self, docs_per_shard: &[usize]) -> HealthSnapshot {
         HealthSnapshot {
             shards: self
                 .shards
@@ -165,17 +144,6 @@ impl ClusterHealth {
                     docs_examined: s.docs.load(Ordering::Relaxed),
                     docs_returned: s.returned.load(Ordering::Relaxed),
                     docs_stored: docs_per_shard.get(i).copied().unwrap_or(0) as u64,
-                })
-                .collect(),
-            chunks: chunks
-                .chunks()
-                .iter()
-                .map(|c| ChunkHeatSnapshot {
-                    min: c.min.clone(),
-                    shard: c.shard,
-                    docs: c.docs,
-                    queries_routed: heat.get(&c.min).copied().unwrap_or(0),
-                    jumbo: c.jumbo,
                 })
                 .collect(),
             events: self.events.lock().unwrap().clone(),
@@ -200,28 +168,11 @@ pub struct ShardLoadSnapshot {
     pub docs_stored: u64,
 }
 
-/// One chunk's heat against the current routing table.
-#[derive(Clone, Debug)]
-pub struct ChunkHeatSnapshot {
-    /// Chunk lower bound (shard-key bytes).
-    pub min: Vec<u8>,
-    /// Owning shard.
-    pub shard: usize,
-    /// Documents in the chunk (estimate after splits, §3.3).
-    pub docs: u64,
-    /// Queries whose routing touched this chunk.
-    pub queries_routed: u64,
-    /// Whether the chunk is marked jumbo.
-    pub jumbo: bool,
-}
-
 /// Point-in-time cluster-health dump.
 #[derive(Clone, Debug)]
 pub struct HealthSnapshot {
     /// Per-shard load, indexed by shard id.
     pub shards: Vec<ShardLoadSnapshot>,
-    /// Per-chunk heat, in routing-table order.
-    pub chunks: Vec<ChunkHeatSnapshot>,
     /// Balancer history, in the order it happened.
     pub events: Vec<BalancerEvent>,
 }
@@ -245,18 +196,6 @@ impl HealthSnapshot {
     /// Total queries routed (shard executions, summed over shards).
     pub fn total_queries(&self) -> u64 {
         self.shards.iter().map(|s| s.queries_routed).sum()
-    }
-
-    /// The `n` hottest chunks by routed queries, hottest first.
-    pub fn hottest_chunks(&self, n: usize) -> Vec<&ChunkHeatSnapshot> {
-        let mut sorted: Vec<&ChunkHeatSnapshot> = self.chunks.iter().collect();
-        sorted.sort_by(|a, b| {
-            b.queries_routed
-                .cmp(&a.queries_routed)
-                .then(a.min.cmp(&b.min))
-        });
-        sorted.truncate(n);
-        sorted
     }
 
     fn loads(&self, f: impl Fn(&ShardLoadSnapshot) -> u64) -> Vec<u64> {
@@ -334,17 +273,6 @@ mod tests {
         let mild = skew(&[40, 30, 20, 10]).gini;
         let harsh = skew(&[70, 20, 5, 5]).gini;
         assert!(even < mild && mild < harsh);
-    }
-
-    #[test]
-    fn chunk_heat_keeps_one_ledger_entry_per_chunk() {
-        let health = ClusterHealth::new(2);
-        let mins: [&[u8]; 3] = [b"", b"m", b"t"];
-        for i in 0..1000 {
-            health.record_chunk_access(mins[..1 + i % 3].iter().copied());
-        }
-        let want = [(vec![], 1000), (b"m".to_vec(), 666), (b"t".to_vec(), 333)];
-        assert_eq!(*health.chunk_heat.lock().unwrap(), BTreeMap::from(want));
     }
 
     #[test]

@@ -24,9 +24,9 @@
 //!   stored and indexed immediately but stamped one epoch ahead of the
 //!   committed snapshot, so concurrent scans observe a batch entirely
 //!   or not at all; [`Cluster::commit_batch`] publishes the epoch with
-//!   one atomic store and then runs a *live balancer* that turns the
-//!   health ledger's chunk-heat/Gini signals into splits and two-phase,
-//!   fault-tolerant chunk migrations (copy, then commit-or-roll-back).
+//!   one atomic store and then runs the *live balancer*: MongoDB's
+//!   size splits and chunk-count round, whose migrations are two-phase
+//!   and fault-tolerant (copy, then commit-or-roll-back).
 
 //! # Example
 //!
@@ -67,15 +67,10 @@ mod shardkey;
 mod zones;
 
 pub use chunk::{Chunk, ChunkMap, SplitError};
-pub use cluster::{
-    Cluster, ClusterConfig, LiveBalancerConfig, MigrationStats, QueryExecOptions, RoutePlan,
-};
+pub use cluster::{Cluster, ClusterConfig, MigrationStats, QueryExecOptions, RoutePlan};
 pub use executor::{ExecutorConfig, ExecutorStats, ShardExecutor};
 pub use faults::{AttemptCtx, FailPoint, FailPointMode, FaultInjector, FaultKind};
-pub use health::{
-    skew, BalancerEvent, BalancerEventKind, ChunkHeatSnapshot, HealthSnapshot, ShardLoadSnapshot,
-    Skew,
-};
+pub use health::{skew, BalancerEvent, BalancerEventKind, HealthSnapshot, ShardLoadSnapshot, Skew};
 pub use report::{ClusterQueryReport, Dispatch, ShardExecution};
 pub use retry::{run_with_recovery, RecoveryPolicy, ShardRecovery};
 pub use shard::Shard;

@@ -81,7 +81,6 @@ impl StStore {
                 planner: config.planner,
                 recovery: config.recovery,
                 fault_seed: config.fault_seed,
-                balancer: config.balancer,
                 executor: config.router.executor,
             },
             config.approach.shard_key(),
@@ -293,8 +292,8 @@ impl StStore {
         report.trace(TraceId(self.profiler.last_op().unwrap_or(0)))
     }
 
-    /// Cluster-health telemetry: per-shard/per-chunk load, skew
-    /// metrics and the balancer event history.
+    /// Cluster-health telemetry: per-shard load, skew metrics and the
+    /// balancer event history.
     pub fn health_snapshot(&self) -> HealthSnapshot {
         self.cluster.health_snapshot()
     }

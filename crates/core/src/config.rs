@@ -2,7 +2,7 @@
 
 use crate::approach::Approach;
 use crate::router::RouterConfig;
-use sts_cluster::{LiveBalancerConfig, RecoveryPolicy};
+use sts_cluster::RecoveryPolicy;
 use sts_curve::{CurveKind, RangeBudget};
 use sts_geo::{GeoPoint, GeoRect};
 use sts_query::Planner;
@@ -43,8 +43,6 @@ pub struct StoreConfig {
     pub recovery: RecoveryPolicy,
     /// Seed for deterministic failpoint draws (chaos testing).
     pub fault_seed: u64,
-    /// Live-balancer policy applied at every ingest-batch commit.
-    pub balancer: LiveBalancerConfig,
     /// Router tier: plan/result caching and the shard executor.
     pub router: RouterConfig,
 }
@@ -66,7 +64,6 @@ impl Default for StoreConfig {
             planner: Planner::default(),
             recovery: RecoveryPolicy::default(),
             fault_seed: 0x5EED_FA17,
-            balancer: LiveBalancerConfig::default(),
             router: RouterConfig::default(),
         }
     }

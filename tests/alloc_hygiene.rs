@@ -10,6 +10,8 @@
 //! planning stages before it are held too: a warmed covering allocates
 //! nothing, routing allocates no more for more intervals, and the
 //! candidate plans are built once per query, not once per target shard.
+//! On the write side, a batch commit's allocations do not grow with the
+//! balancer's history.
 
 mod support;
 
@@ -259,5 +261,41 @@ fn planning_allocations_do_not_grow_with_the_target_shard_count() {
         (few, many),
         (0, 0),
         "allocations for three more target shards at 4 and at 64 intervals"
+    );
+}
+
+/// A batch commit costs the same on a store with a long balancer
+/// history as on a fresh one: with nothing staged, publishing the epoch
+/// and running the balancer's size-split sweep and chunk-count round
+/// allocates the same number of times whether the routing table holds
+/// one chunk or a dozen and the event log is empty or long.
+#[test]
+fn commit_allocations_do_not_grow_with_history() {
+    use sts::obs::alloc::thread_allocations;
+
+    let commit_allocations = |store: &mut sts::core::StStore| {
+        store.commit_batch(); // warm-up
+        let before = thread_allocations();
+        store.commit_batch();
+        thread_allocations() - before
+    };
+    let mut fresh = sts::core::StStore::new(StoreConfig {
+        approach: Approach::Hil,
+        num_shards: 4,
+        max_chunk_bytes: 24 * 1024,
+        ..Default::default()
+    });
+    let mut grown = corpus_store(Approach::Hil);
+    let stats = grown.cluster().migration_stats();
+    assert!(
+        grown.cluster().chunk_map().len() > 10 && stats.chunks_moved > 5,
+        "the grown store needs a history: {} chunks, {} migrations",
+        grown.cluster().chunk_map().len(),
+        stats.chunks_moved
+    );
+    assert_eq!(
+        commit_allocations(&mut grown),
+        commit_allocations(&mut fresh),
+        "allocations of one empty commit: grown store vs fresh store"
     );
 }

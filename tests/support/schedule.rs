@@ -84,7 +84,8 @@ pub enum ScheduleOp {
     /// `dst_off` slots after its current owner — never a self-move,
     /// so the fault-aware transfer protocol always executes.
     Migrate { sel: u64, dst_off: u64 },
-    /// Arm a failpoint on shard `sel % NUM_SHARDS`. `times == 0`
+    /// Arm a failpoint on the shard owning the chunk `sel` picks (as
+    /// in `Split`), so the fault lands where data lives. `times == 0`
     /// means always-on. Primary-only, so hedged reads keep every
     /// query answerable while migrations feel the fault.
     ArmFault {
@@ -381,6 +382,11 @@ impl ScheduleCase {
                         1 + rng.below(2) as u32
                     },
                 });
+                // The full-extent query visits every shard that owns a
+                // chunk, the faulted one among them, and the commit
+                // before it made its cached page stale: the fault just
+                // armed fires here.
+                ops.push(ScheduleOp::Query { qidx: 0 });
             }
             if rng.below(2) == 0 {
                 ops.push(ScheduleOp::Query {
@@ -646,7 +652,7 @@ pub fn replay(case: &ScheduleCase) -> Result<ReplayReport, ReplayError> {
                 store.migrate_chunk(cidx, dst);
             }
             ScheduleOp::ArmFault { sel, kind, times } => {
-                let shard = (*sel as usize) % NUM_SHARDS;
+                let shard = store.cluster().chunk_map().chunks()[pick_chunk(&store, *sel)].shard;
                 let point = match kind {
                     FaultSpec::Transient => FailPoint::transient(shard),
                     FaultSpec::Hard => FailPoint::hard_failure(shard),
